@@ -58,11 +58,14 @@ class Stream:
     def uniform_open(self, size=None):
         """Uniform draws strictly inside (0, 1).
 
-        Returns (k + 1/2) / 2**53 for k uniform on {0, ..., 2**53 - 1}, so
-        quantile inversion never sees 0.0 or 1.0 exactly.
+        Returns (k + 1/2) / 2**53 rounded to double, for k uniform on
+        {0, ..., 2**53 - 1}.  The one value that rounds to 1.0
+        (k = 2**53 - 1) is clamped to 1 - 2**-53, the largest double below
+        1, so quantile inversion never sees 0.0 or 1.0.
         """
         k = self.gen.integers(0, 1 << 53, size=size, dtype=np.int64)
-        return (k + 0.5) * _INV53
+        u = (k + 0.5) * _INV53
+        return np.minimum(u, 1.0 - _INV53, out=None if size is None else u)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Stream(entropy={self._seq.entropy}, path={tuple(self._seq.spawn_key)})"

@@ -68,6 +68,24 @@ def enumerate_discrete_stationary(arrival_gap, values):
     return {k: v / total for k, v in sorted(law.items())}
 
 
+def generalized_inverse_oracle(d, p):
+    """inf{x : cdf(x) >= p} over the doubles in [0, +inf], one p at a time:
+    bisect the int64 bit pattern, which orders the non-negative doubles,
+    from [0, +inf] down to two adjacent doubles.  At most 63 halvings, no
+    bracket from the law's own quantiles and no secant."""
+    lo, hi = 0, int(np.float64(np.inf).view(np.int64))
+    for _ in range(64):
+        if hi - lo == 1:
+            return float(np.int64(hi).view(np.float64))
+        mid = lo + (hi - lo) // 2
+        x = np.array([np.int64(mid).view(np.float64)])
+        if d.cdf(x)[0] >= p:
+            hi = mid
+        else:
+            lo = mid
+    raise AssertionError("bit bisection did not close in 64 steps")
+
+
 def wilson_interval(k, n, conf=0.99):
     from scipy.stats import norm
 

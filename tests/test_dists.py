@@ -2,6 +2,7 @@
 cross-checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from maxdater import Stream
+from maxdater import dists
 from maxdater.dists import (
     Deterministic,
     DiscreteUniform,
@@ -20,7 +22,7 @@ from maxdater.dists import (
     truncated_mean_by_quadrature,
 )
 
-from support import integrate_against, truncated_mean_oracle
+from support import generalized_inverse_oracle, integrate_against, truncated_mean_oracle
 
 CATALOGUE = [
     Exponential(1.0),
@@ -212,3 +214,125 @@ def test_integrate_against_oracle_sanity():
     assert integrate_against(Exponential(1.0), lambda x: x) == pytest.approx(1.0, rel=1e-9)
     assert integrate_against(DiscreteUniform((1.0, 2.0, 3.0)), lambda x: x * x) == pytest.approx(14 / 3)
     assert integrate_against(TruncatedParetoOne(0.5, 1.0), lambda x: 1.0) == pytest.approx(1.0, rel=1e-9)
+
+
+# ------------------------------------------------ mixture quantile search
+
+
+@st.composite
+def _mixture_laws(draw):
+    """One to three components from every continuous and atomic kind,
+    with scales anywhere in [1e-3, 1e3]."""
+    comps = []
+    for _ in range(draw(st.integers(1, 3))):
+        scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+        kind = draw(st.sampled_from(
+            ["exponential", "pareto", "uniform", "deterministic", "tpo", "discrete"]))
+        if kind == "exponential":
+            law = Exponential(1.0 / scale)
+        elif kind == "pareto":
+            law = Pareto(draw(st.floats(0.3, 3.0)), scale)
+        elif kind == "uniform":
+            law = Uniform(0.0, scale)
+        elif kind == "deterministic":
+            law = Deterministic(scale)
+        elif kind == "tpo":
+            law = TruncatedParetoOne(scale, scale * draw(st.floats(1.0, 3.0)))
+        else:
+            law = DiscreteUniform((scale, 2.0 * scale, 3.0 * scale))
+        comps.append((draw(st.floats(0.05, 1.0)), law))
+    total = math.fsum(w for w, _ in comps)
+    return Mixture(tuple((w / total, law) for w, law in comps))
+
+
+# the extremes of Stream.uniform_open, then anything strictly inside (0, 1)
+_PROBS = st.one_of(
+    st.sampled_from([2.0 ** -54, 1.0 - 2.0 ** -53]),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+
+
+@given(m=_mixture_laws(), ps=st.lists(_PROBS, min_size=1, max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_mixture_quantile_is_exact_generalized_inverse(m, ps):
+    ps = np.array(ps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        qs = m.quantile(ps)
+    want = np.array([generalized_inverse_oracle(m, p) for p in ps])
+    assert np.array_equal(qs.view(np.int64), want.view(np.int64))
+    assert np.all(m.cdf(qs) >= ps)
+    assert np.all(m.cdf(np.nextafter(qs, 0.0)) < ps)
+
+
+def test_mixture_quantile_far_apart_scales():
+    # 200 halvings of [0, max_i q_i(p)] = [0, 2**200] stopped at 1.0, where
+    # cdf(prev_float(1.0)) = 0.626 >= 0.5 already
+    m = Mixture(((0.99, Exponential(1.0)), (0.01, Pareto(0.005, 1.0))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        q = m.quantile(0.5)
+    assert q == 0.7032995520239633
+    assert m.cdf(q) >= 0.5 > m.cdf(np.nextafter(q, 0.0))
+
+
+def test_mixture_quantile_overflowed_component_quantile():
+    # Pareto(0.01) quantiles overflow to inf near p = 1; inf is a valid
+    # upper end, and here the mixture cdf stays below p at every finite x
+    m = Mixture(((0.5, Exponential(1.0)), (0.5, Pareto(0.01, 1.0))))
+    ps = np.array([0.5, 0.99, 1.0 - 2.0 ** -53])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        qs = m.quantile(ps)
+    assert list(qs) == [generalized_inverse_oracle(m, p) for p in ps]
+    assert qs[-1] == math.inf
+
+
+def test_mixture_quantile_keeps_shape():
+    m = Mixture(((0.3, Exponential(2.0)), (0.7, Pareto(2.5, 1.0))))
+    ps = np.array([[0.1, 0.5, 0.9], [0.2, 0.4, 0.999]])
+    qs = m.quantile(ps)
+    assert qs.shape == ps.shape
+    assert np.array_equal(qs.ravel(), m.quantile(ps.ravel()))
+    assert isinstance(m.quantile(0.5), float)
+    assert m.quantile(np.array([])).shape == (0,)
+    # long inputs are searched in blocks; each draw's result is its own
+    big = Stream.from_seed(2).uniform_open(2 * dists._SEARCH_BLOCK + 3)
+    assert np.array_equal(m.quantile(big),
+                          np.concatenate([m.quantile(c) for c in np.array_split(big, 7)]))
+
+
+def test_mixture_quantile_cdf_evaluations(monkeypatch):
+    # timing-free guard on the cost of the search, on the benchmark mixture:
+    # elementwise cdf evaluations per draw (the 200-step bisection it
+    # replaced made about 66)
+    sizes = []
+    cdf = Exponential.cdf
+    monkeypatch.setattr(Exponential, "cdf", lambda self, x: sizes.append(np.size(x)) or cdf(self, x))
+    n = 1 << 16
+    m = Mixture(((0.7, Exponential(1.5)), (0.3, Pareto(1.5, 0.5))))
+    u = Stream.from_seed(1, 2).uniform_open(n)
+    m.quantile(u)
+    assert sum(sizes) / n <= 16
+    # within one search block, two evaluations bracket the root and each
+    # step makes one more, which the slowest draw is part of
+    sizes.clear()
+    m.quantile(u[:dists._SEARCH_BLOCK])
+    assert len(sizes) - 2 <= dists._MAX_STEPS
+
+
+def test_mixture_weights_reach_one():
+    # weights inside the 1e-9 tolerance but summing below 1 left the cdf
+    # short of p near 1 (quantile(1 - 1e-10) had cdf 0.99999999955)
+    m = Mixture(((0.5, Exponential(1.0)), (0.4999999996, Exponential(2.0))))
+    assert m.cdf(math.inf) == 1.0
+    p = 1.0 - 1e-10
+    assert m.cdf(m.quantile(p)) >= p
+    # ten weights of 0.1 add to one ulp below 1 left to right
+    tenths = Mixture(tuple((0.1, Exponential(1.0 + i)) for i in range(10)))
+    assert tenths.cdf(math.inf) == 1.0
+    top = 1.0 - 2.0 ** -53
+    assert tenths.cdf(tenths.quantile(top)) >= top
+    # rescaling is idempotent, and weights already adding to 1 are kept
+    assert Mixture(m.components) == m
+    kept = Mixture(((0.7, Exponential(1.5)), (0.3, Pareto(1.5, 0.5))))
+    assert [w for w, _ in kept.components] == [0.7, 0.3]
