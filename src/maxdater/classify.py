@@ -25,7 +25,6 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 
 from .dists import (
     Deterministic,
@@ -552,6 +551,7 @@ def _prob_breaks(d: Distribution) -> list:
 def _j_value(num: Distribution, den: Distribution, quad_tol: float) -> float:
     """E[ A / m(A) ] with A ~ num and m the truncated mean of den,
     integrated in probability space so atoms come out exact."""
+    from scipy import integrate
 
     def integrand(p: float) -> float:
         xq = float(num.quantile(p))

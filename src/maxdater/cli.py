@@ -16,27 +16,19 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
 from dataclasses import dataclass, is_dataclass, fields as dc_fields
 from enum import Enum
+from typing import get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .classify import ClassifierConfig, SeriesThresholds, Verdict, classify, compare_queues
-from .dists import (
-    Deterministic,
-    DiscreteUniform,
-    Distribution,
-    Exponential,
-    Mixture,
-    Pareto,
-    QuadratureError,
-    TruncatedParetoOne,
-    Uniform,
-)
+from .dists import CATALOGUE, Distribution, bound_problem
 from .engine import ModelSpec, simulate_gg1, simulate_path
 from .loynes import DivergenceSuspected, stationary_batch
 from .regen import detect, find_params, phi_sample, renewal_tests
@@ -95,21 +87,9 @@ def _num(ctx, node, key, path, *, default=None, required=False,
             "an integer" if integer else "a number"))
         return default
     v = int(v) if integer else float(v)
-    if minimum is not None and v < minimum:
-        ctx.err(f"{path}.{key}", f"must be >= {minimum}")
-        return default
-    if exclusive_minimum is not None and v <= exclusive_minimum:
-        ctx.err(f"{path}.{key}", f"must be > {exclusive_minimum}")
-        return default
-    return v
-
-
-def _bool(ctx, node, key, path, default):
-    if key not in node:
-        return default
-    v = node[key]
-    if not isinstance(v, bool):
-        ctx.err(f"{path}.{key}", "expected true or false")
+    problem = bound_problem(v, minimum, exclusive_minimum)
+    if problem:
+        ctx.err(f"{path}.{key}", problem)
         return default
     return v
 
@@ -119,15 +99,51 @@ def _reject_unknown(ctx, node, path, allowed):
         ctx.err(f"{path}.{k}", "unknown field")
 
 
-_DIST_FIELDS = {
-    "exponential": {"rate"},
-    "deterministic": {"value"},
-    "pareto": {"alpha", "scale"},
-    "truncated_pareto_one": {"d1", "x0"},
-    "uniform": {"lo", "hi"},
-    "discrete_uniform": {"support"},
-    "mixture": {"components"},
+def _law_numbers(ctx, node, key, path, **bound):
+    vals = node.get(key)
+    if not isinstance(vals, list) or not vals:
+        ctx.err(f"{path}.{key}", "expected a non-empty list of positive numbers")
+        return None
+    bad = [i for i, v in enumerate(vals) if not _is_num(v) or bound_problem(v, **bound)]
+    for i in bad:
+        ctx.err(f"{path}.{key}[{i}]", "must be a positive number")
+    return None if bad else tuple(float(v) for v in vals)
+
+
+def _law_weighted(ctx, node, key, path, **bound):
+    comps = node.get(key)
+    if not isinstance(comps, list) or not comps:
+        ctx.err(f"{path}.{key}", "expected a non-empty list")
+        return None
+    parsed = []
+    for i, comp in enumerate(comps):
+        cpath = f"{path}.{key}[{i}]"
+        if not isinstance(comp, dict):
+            ctx.err(cpath, "expected an object with weight and dist")
+            continue
+        _reject_unknown(ctx, comp, cpath, {"weight", "dist"})
+        parsed.append((_num(ctx, comp, "weight", cpath, required=True, **bound),
+                       _parse_dist(ctx, comp.get("dist"), f"{cpath}.dist")))
+    return tuple(parsed)
+
+
+# How each field type of a law reads from a config node and echoes back.
+# Every reader that returns None has reported why.
+_LAW_FIELDS = {
+    float: (functools.partial(_num, required=True), lambda v: v),
+    tuple[float, ...]: (_law_numbers, list),
+    tuple[tuple[float, Distribution], ...]: (
+        _law_weighted,
+        lambda v: [{"weight": w, "dist": _dist_node(d)} for w, d in v]),
 }
+
+
+@functools.cache  # get_type_hints evaluates the annotation strings anew
+def _law_params(law):
+    """(config key, field, reader, echo) for each field of a law."""
+    hints = get_type_hints(law)
+    return tuple((f.metadata.get("key") or f.name, f, *_LAW_FIELDS[hints[f.name]])
+                 for f in dc_fields(law))
 
 
 def _parse_dist(ctx, node, path):
@@ -135,176 +151,105 @@ def _parse_dist(ctx, node, path):
         ctx.err(path, "expected an object with a 'kind' field")
         return None
     kind = node.get("kind")
-    if kind not in _DIST_FIELDS:
-        ctx.err(f"{path}.kind", "expected one of {}".format(
-            ", ".join(sorted(_DIST_FIELDS))))
+    law = CATALOGUE.get(kind) if isinstance(kind, str) else None
+    if law is None:
+        ctx.err(f"{path}.kind", "expected one of {}".format(", ".join(sorted(CATALOGUE))))
         return None
-    _reject_unknown(ctx, node, path, _DIST_FIELDS[kind] | {"kind"})
+    params = _law_params(law)
+    _reject_unknown(ctx, node, path, {key for key, *_ in params} | {"kind"})
     before = len(ctx.problems)
-    if kind == "exponential":
-        rate = _num(ctx, node, "rate", path, required=True, exclusive_minimum=0.0)
-        spec = (Exponential, (rate,))
-    elif kind == "deterministic":
-        value = _num(ctx, node, "value", path, required=True, exclusive_minimum=0.0)
-        spec = (Deterministic, (value,))
-    elif kind == "pareto":
-        alpha = _num(ctx, node, "alpha", path, required=True, exclusive_minimum=0.0)
-        scale = _num(ctx, node, "scale", path, required=True, exclusive_minimum=0.0)
-        spec = (Pareto, (alpha, scale))
-    elif kind == "truncated_pareto_one":
-        d1 = _num(ctx, node, "d1", path, required=True, exclusive_minimum=0.0)
-        x0 = _num(ctx, node, "x0", path, required=True, exclusive_minimum=0.0)
-        if d1 is not None and x0 is not None and x0 < d1:
-            ctx.err(f"{path}.x0", "must be >= d1 (the tail cannot exceed 1)")
-        spec = (TruncatedParetoOne, (d1, x0))
-    elif kind == "uniform":
-        lo = _num(ctx, node, "lo", path, required=True, minimum=0.0)
-        hi = _num(ctx, node, "hi", path, required=True, exclusive_minimum=0.0)
-        if lo is not None and hi is not None and hi <= lo:
-            ctx.err(f"{path}.hi", "must exceed lo")
-        spec = (Uniform, (lo, hi))
-    elif kind == "discrete_uniform":
-        vals = node.get("support")
-        if not isinstance(vals, list) or not vals:
-            ctx.err(f"{path}.support", "expected a non-empty list of positive numbers")
-            return None
-        for i, v in enumerate(vals):
-            if not _is_num(v) or v <= 0:
-                ctx.err(f"{path}.support[{i}]", "must be a positive number")
-        spec = (DiscreteUniform, (tuple(float(v) for v in vals
-                                        if _is_num(v) and v > 0),))
-    else:  # mixture
-        comps = node.get("components")
-        if not isinstance(comps, list) or not comps:
-            ctx.err(f"{path}.components", "expected a non-empty list")
-            return None
-        parsed = []
-        for i, comp in enumerate(comps):
-            cpath = f"{path}.components[{i}]"
-            if not isinstance(comp, dict):
-                ctx.err(cpath, "expected an object with weight and dist")
-                continue
-            _reject_unknown(ctx, comp, cpath, {"weight", "dist"})
-            w = _num(ctx, comp, "weight", cpath, required=True, exclusive_minimum=0.0)
-            d = _parse_dist(ctx, comp.get("dist"), f"{cpath}.dist")
-            if w is not None and d is not None:
-                parsed.append((w, d))
-        if len(parsed) != len(comps):
-            return None
-        total = sum(w for w, _ in parsed)
-        if abs(total - 1.0) > 1e-9:
-            ctx.err(f"{path}.components", f"weights sum to {total:.6g}, expected 1")
-            return None
-        spec = (Mixture, (tuple(parsed),))
+    args = [read(ctx, node, key, path, **f.metadata.get("bound", {}))
+            for key, f, read, _ in params]
     if len(ctx.problems) > before:
         return None
-    cls, args = spec
     try:
-        return cls(*args)
+        return law(*args)
     except (ValueError, TypeError) as exc:
         ctx.err(path, str(exc))
         return None
 
 
-_THRESHOLD_DEFAULTS = {
-    "slope_converges": 0.05,
-    "increment_floor": 1e-8,
-    "vote_majority": 0.9,
+def _setting(ctx, node, key, path, *, default, **bounds):
+    if not isinstance(default, bool):
+        return _num(ctx, node, key, path, default=default, **bounds)
+    v = node.get(key, default)
+    if not isinstance(v, bool):
+        ctx.err(f"{path}.{key}", "expected true or false")
+        return default
+    return v
+
+
+def _parse_section(ctx, node, path, specs):
+    """A section's settings: each spec is either the keywords of
+    ``_setting`` (the default and bounds) or a parser of its own."""
+    _reject_unknown(ctx, node, path, specs)
+    return {key: spec(ctx, node, key, path) if callable(spec)
+            else _setting(ctx, node, key, path, **spec)
+            for key, spec in specs.items()}
+
+
+def _thresholds(ctx, node, key, path):
+    sub = node.get(key, {})
+    if not isinstance(sub, dict):
+        ctx.err(f"{path}.{key}", "expected an object")
+        sub = {}
+    return _parse_section(ctx, sub, f"{path}.{key}", {
+        f.name: dict(default=f.default, exclusive_minimum=0.0)
+        for f in dc_fields(SeriesThresholds)})
+
+
+def _grid(ctx, node, key, path):
+    grid = node.get(key)
+    if grid is None:
+        return None
+    if not isinstance(grid, list) or not grid:
+        ctx.err(f"{path}.{key}", "expected a non-empty list of increasing positives")
+        return None
+    vals = [float(v) for v in grid if _is_num(v)]
+    if (not all(_is_num(v) and v > 0 for v in grid)
+            or any(b <= a for a, b in zip(vals, vals[1:]))):
+        ctx.err(f"{path}.{key}", "values must be positive and strictly increasing")
+        return None
+    return vals
+
+
+_CLASSIFY = ClassifierConfig()
+
+# Each section's settings.  Flag overrides are held to the same bounds.
+_SECTIONS = {
+    "simulate": {
+        "x0": dict(default=0.0, minimum=0.0),
+        "n": dict(default=100, integer=True, minimum=0),
+    },
+    "gg1": {
+        "w0": dict(default=0.0, minimum=0.0),
+        "n": dict(default=100, integer=True, minimum=0),
+    },
+    "stationary": {
+        "horizon": dict(default=1000, integer=True, minimum=1),
+        "reps": dict(default=10_000, integer=True, minimum=1),
+        "check_divergence": dict(default=True),
+    },
+    "classify": {
+        "thresholds": _thresholds,
+        "n_max": dict(default=_CLASSIFY.n_max, integer=True, minimum=1000),
+        "reps": dict(default=_CLASSIFY.reps, integer=True, minimum=100),
+        "c": dict(default=_CLASSIFY.c, exclusive_minimum=1.0),
+        "y": dict(default=_CLASSIFY.y, minimum=0.0, allow_none=True),
+        "w0": dict(default=_CLASSIFY.w0, minimum=0.0, allow_none=True),
+        "force_series": dict(default=_CLASSIFY.force_series),
+    },
+    "regen": {
+        "reps": dict(default=1000, integer=True, minimum=1000),
+        "horizon": dict(default=10_000, integer=True, minimum=1),
+    },
+    "tails": {
+        "grid": _grid,
+        "samples": dict(default=100_000, integer=True, minimum=1),
+        "horizon": dict(default=1000, integer=True, minimum=1),
+        "points": dict(default=8, integer=True, minimum=1),
+    },
 }
-
-_SECTION_VALIDATORS = {}
-
-
-def _section(name):
-    def deco(fn):
-        _SECTION_VALIDATORS[name] = fn
-        return fn
-    return deco
-
-
-@_section("simulate")
-def _v_simulate(ctx, node, path):
-    _reject_unknown(ctx, node, path, {"x0", "n"})
-    return {
-        "x0": _num(ctx, node, "x0", path, default=0.0, minimum=0.0),
-        "n": _num(ctx, node, "n", path, default=100, integer=True, minimum=0),
-    }
-
-
-@_section("gg1")
-def _v_gg1(ctx, node, path):
-    _reject_unknown(ctx, node, path, {"w0", "n"})
-    return {
-        "w0": _num(ctx, node, "w0", path, default=0.0, minimum=0.0),
-        "n": _num(ctx, node, "n", path, default=100, integer=True, minimum=0),
-    }
-
-
-@_section("stationary")
-def _v_stationary(ctx, node, path):
-    _reject_unknown(ctx, node, path, {"horizon", "reps", "check_divergence"})
-    return {
-        "horizon": _num(ctx, node, "horizon", path, default=1000, integer=True, minimum=1),
-        "reps": _num(ctx, node, "reps", path, default=10_000, integer=True, minimum=1),
-        "check_divergence": _bool(ctx, node, "check_divergence", path, True),
-    }
-
-
-@_section("classify")
-def _v_classify(ctx, node, path):
-    _reject_unknown(ctx, node, path,
-                    {"n_max", "reps", "c", "y", "w0", "force_series", "thresholds"})
-    thr_node = node.get("thresholds", {})
-    thr = dict(_THRESHOLD_DEFAULTS)
-    if not isinstance(thr_node, dict):
-        ctx.err(f"{path}.thresholds", "expected an object")
-    else:
-        _reject_unknown(ctx, thr_node, f"{path}.thresholds", _THRESHOLD_DEFAULTS)
-        for key in _THRESHOLD_DEFAULTS:
-            thr[key] = _num(ctx, thr_node, key, f"{path}.thresholds",
-                            default=_THRESHOLD_DEFAULTS[key], exclusive_minimum=0.0)
-    return {
-        "n_max": _num(ctx, node, "n_max", path, default=100_000, integer=True, minimum=1000),
-        "reps": _num(ctx, node, "reps", path, default=200, integer=True, minimum=100),
-        "c": _num(ctx, node, "c", path, default=1.1, exclusive_minimum=1.0),
-        "y": _num(ctx, node, "y", path, default=None, minimum=0.0, allow_none=True),
-        "w0": _num(ctx, node, "w0", path, default=None, minimum=0.0, allow_none=True),
-        "force_series": _bool(ctx, node, "force_series", path, False),
-        "thresholds": thr,
-    }
-
-
-@_section("regen")
-def _v_regen(ctx, node, path):
-    _reject_unknown(ctx, node, path, {"reps", "horizon"})
-    return {
-        "reps": _num(ctx, node, "reps", path, default=1000, integer=True, minimum=1000),
-        "horizon": _num(ctx, node, "horizon", path, default=10_000, integer=True, minimum=1),
-    }
-
-
-@_section("tails")
-def _v_tails(ctx, node, path):
-    _reject_unknown(ctx, node, path, {"grid", "samples", "horizon", "points"})
-    grid = node.get("grid")
-    if grid is not None:
-        if not isinstance(grid, list) or not grid:
-            ctx.err(f"{path}.grid", "expected a non-empty list of increasing positives")
-            grid = None
-        else:
-            ok = all(_is_num(v) and v > 0 for v in grid)
-            vals = [float(v) for v in grid if _is_num(v)]
-            if not ok or any(b <= a for a, b in zip(vals, vals[1:])):
-                ctx.err(f"{path}.grid", "values must be positive and strictly increasing")
-                grid = None
-            else:
-                grid = vals
-    return {
-        "grid": grid,
-        "samples": _num(ctx, node, "samples", path, default=100_000, integer=True, minimum=1),
-        "horizon": _num(ctx, node, "horizon", path, default=1000, integer=True, minimum=1),
-        "points": _num(ctx, node, "points", path, default=8, integer=True, minimum=1),
-    }
 
 
 def validate_config(text: str) -> ExperimentConfig:
@@ -317,7 +262,7 @@ def validate_config(text: str) -> ExperimentConfig:
         raise ValidationError([f"(root): not valid JSON ({exc})"])
     if not isinstance(root, dict):
         raise ValidationError(["(root): expected a JSON object"])
-    allowed = {"schema", "seed", "threads", "model"} | set(_SECTION_VALIDATORS)
+    allowed = {"schema", "seed", "threads", "model"} | set(_SECTIONS)
     _reject_unknown(ctx, root, "(root)", allowed)
     schema = _num(ctx, root, "schema", "(root)", default=_SCHEMA, integer=True)
     if schema is not None and schema != _SCHEMA:
@@ -344,12 +289,12 @@ def validate_config(text: str) -> ExperimentConfig:
         if inter is not None and serv is not None:
             model = ModelSpec(interarrival=inter, service=serv)
     sections = {}
-    for name, validator in _SECTION_VALIDATORS.items():
+    for name, specs in _SECTIONS.items():
         node = root.get(name, {})
         if not isinstance(node, dict):
             ctx.err(name, "expected an object")
             node = {}
-        sections[name] = validator(ctx, node, name)
+        sections[name] = _parse_section(ctx, node, name, specs)
     if ctx.problems:
         raise ValidationError(ctx.problems)
     return ExperimentConfig(seed=seed, threads=threads, model=model,
@@ -396,23 +341,23 @@ def _array_block(arr):
     return block
 
 
+def _blocks(obj):
+    """A dataclass as the dict of its fields, recursively, with each array
+    as an ``_array_block``."""
+    if isinstance(obj, np.ndarray):
+        return _array_block(obj)
+    if is_dataclass(obj):
+        return {f.name: _blocks(getattr(obj, f.name)) for f in dc_fields(obj)}
+    if isinstance(obj, list):
+        return [_blocks(v) for v in obj]
+    return obj
+
+
 def _dist_node(d: Distribution) -> dict:
-    if isinstance(d, Exponential):
-        return {"kind": "exponential", "rate": d.rate}
-    if isinstance(d, Deterministic):
-        return {"kind": "deterministic", "value": d.value}
-    if isinstance(d, Pareto):
-        return {"kind": "pareto", "alpha": d.alpha, "scale": d.scale}
-    if isinstance(d, TruncatedParetoOne):
-        return {"kind": "truncated_pareto_one", "d1": d.d1, "x0": d.x0}
-    if isinstance(d, Uniform):
-        return {"kind": "uniform", "lo": d.lo, "hi": d.hi}
-    if isinstance(d, DiscreteUniform):
-        return {"kind": "discrete_uniform", "support": list(d.values)}
-    if isinstance(d, Mixture):
-        return {"kind": "mixture", "components": [
-            {"weight": w, "dist": _dist_node(c)} for w, c in d.components]}
-    raise TypeError(f"unknown distribution {type(d).__name__}")
+    node = {"kind": d.kind}
+    for key, f, _, echo in _law_params(type(d)):
+        node[key] = echo(getattr(d, f.name))
+    return node
 
 
 def _resolved_config(cfg: ExperimentConfig, command: str) -> dict:
@@ -502,28 +447,8 @@ def _cmd_stationary(cfg: ExperimentConfig, stream: Stream, strict: bool):
 
 def _classifier_config(cfg: ExperimentConfig) -> ClassifierConfig:
     sec = cfg.sections["classify"]
-    return ClassifierConfig(
-        n_max=sec["n_max"], reps=sec["reps"],
-        thresholds=SeriesThresholds(**sec["thresholds"]),
-        c=sec["c"], y=sec["y"], w0=sec["w0"],
-        force_series=sec["force_series"], threads=cfg.threads,
-    )
-
-
-def _diag_dict(diag) -> dict:
-    return {
-        "kind": diag.kind,
-        "verdict": diag.verdict,
-        "slope": diag.slope,
-        "params": diag.params,
-        "votes_converge": diag.votes_converge,
-        "votes_diverge": diag.votes_diverge,
-        "reps": diag.reps,
-        "n_max": diag.n_max,
-        "grid": _array_block(diag.grid),
-        "partial_sums": _array_block(diag.partial_sums),
-        "values": _array_block(diag.values) if diag.values is not None else None,
-    }
+    return ClassifierConfig(**{**sec, "thresholds": SeriesThresholds(**sec["thresholds"])},
+                            threads=cfg.threads)
 
 
 def _series_rows(diagnostics):
@@ -536,12 +461,7 @@ def _series_rows(diagnostics):
 
 def _cmd_classify(cfg: ExperimentConfig, stream: Stream, strict: bool):
     report = classify(cfg.model, _classifier_config(cfg), stream)
-    result = {
-        "verdict": report.verdict,
-        "source": report.source,
-        "notes": report.notes,
-        "diagnostics": [_diag_dict(d) for d in report.diagnostics],
-    }
+    result = _blocks(report)
     code = 3 if strict and report.verdict is Verdict.INCONCLUSIVE else 0
     return result, _series_rows(report.diagnostics), code
 
@@ -550,12 +470,7 @@ def _cmd_compare(cfg: ExperimentConfig, stream: Stream, strict: bool):
     infinite, single, commentary = compare_queues(
         cfg.model, _classifier_config(cfg), stream)
     result = {
-        "infinite_server": {
-            "verdict": infinite.verdict,
-            "source": infinite.source,
-            "notes": infinite.notes,
-            "diagnostics": [_diag_dict(d) for d in infinite.diagnostics],
-        },
+        "infinite_server": _blocks(infinite),
         "single_server": _jsonable(single) if single is not None else None,
         "commentary": commentary,
     }
@@ -577,16 +492,7 @@ def _cmd_regen(cfg: ExperimentConfig, stream: Stream, strict: bool):
         taus = detect(path, params).taus
     result = {
         "params": params,
-        "renewal": {
-            "sum_u": _jsonable(summary.sum_u),
-            "cesaro": summary.cesaro,
-            "cycle_mean": _jsonable(summary.cycle_mean),
-            "frac_no_regen": summary.frac_no_regen,
-            "reps": summary.reps,
-            "horizon": summary.horizon,
-            "m0": summary.m0,
-            "u_hat": _array_block(summary.u_hat),
-        },
+        "renewal": _blocks(summary),
         "trace": {"steps": int(trace_steps), "count": int(len(taus)),
                   "taus": _array_block(taus)},
     }
@@ -599,19 +505,6 @@ def _cmd_tails(cfg: ExperimentConfig, stream: Stream, strict: bool):
     report = empirical_tail(cfg.model, sec["grid"], sec["samples"],
                             sec["horizon"], stream, points=sec["points"],
                             threads=cfg.threads)
-    result = {
-        "regime": report.regime,
-        "regime_params": report.regime_params,
-        "samples": report.samples,
-        "horizon": report.horizon,
-        "residual_bound": _jsonable(report.residual_bound),
-        "grid": _jsonable(report.grid),
-        "predicted": _jsonable(report.predicted) if report.predicted is not None else None,
-        "empirical": _jsonable(report.empirical),
-        "lo": _jsonable(report.lo),
-        "hi": _jsonable(report.hi),
-        "ratio": _jsonable(report.ratio) if report.ratio is not None else None,
-    }
     rows = [("x", "predicted", "empirical", "lo", "hi", "ratio")]
     for i, x in enumerate(report.grid):
         rows.append((
@@ -620,7 +513,7 @@ def _cmd_tails(cfg: ExperimentConfig, stream: Stream, strict: bool):
             float(report.empirical[i]), float(report.lo[i]), float(report.hi[i]),
             float(report.ratio[i]) if report.ratio is not None else "",
         ))
-    return result, rows, 0
+    return report, rows, 0
 
 
 _COMMANDS = {
@@ -670,32 +563,21 @@ def _apply_overrides(cfg: ExperimentConfig, command: str, args) -> list:
             problems.append("--threads: must be >= 1")
         else:
             cfg.threads = args.threads
-    section = cfg.sections["classify" if command == "compare" else command]
-    if args.reps is not None:
-        key = "samples" if command == "tails" else "reps"
-        if key in section:
-            if args.reps < 1:
-                problems.append("--reps: must be >= 1")
-            else:
-                section[key] = args.reps
+    name = "classify" if command == "compare" else command
+    for flag in ("reps", "horizon", "n"):
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        key = "samples" if flag == "reps" and command == "tails" else flag
+        spec = _SECTIONS[name].get(key)
+        if spec is None:
+            problems.append(f"--{flag}: not applicable to {command}")
+            continue
+        problem = bound_problem(value, spec.get("minimum"), spec.get("exclusive_minimum"))
+        if problem:
+            problems.append(f"--{flag}: {problem}")
         else:
-            problems.append(f"--reps: not applicable to {command}")
-    if args.horizon is not None:
-        if "horizon" in section:
-            if args.horizon < 1:
-                problems.append("--horizon: must be >= 1")
-            else:
-                section["horizon"] = args.horizon
-        else:
-            problems.append(f"--horizon: not applicable to {command}")
-    if args.n is not None:
-        if "n" in section:
-            if args.n < 0:
-                problems.append("--n: must be >= 0")
-            else:
-                section["n"] = args.n
-        else:
-            problems.append(f"--n: not applicable to {command}")
+            cfg.sections[name][key] = value
     return problems
 
 
@@ -731,7 +613,7 @@ def run(argv=None) -> int:
     stream = Stream.from_seed(cfg.seed)
     try:
         result, rows, code = _COMMANDS[args.command](cfg, stream, args.strict)
-    except (ValueError, RuntimeError, QuadratureError, NotPositiveRecurrent) as exc:
+    except (ValueError, RuntimeError, NotPositiveRecurrent) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 4
     report = {

@@ -24,21 +24,27 @@ other step halves the bracket's width in bit patterns, which starts below
 
 ``truncated_mean_by_quadrature`` integrates the tail numerically and is
 kept as an independent route against the closed forms.
+
+Each law names its config ``kind`` where it is defined, which enters it in
+``CATALOGUE``, and states the bound on each of its fields in that field's
+metadata.  ``Distribution.__post_init__`` checks those bounds, and the
+command line reads the same fields to parse, check and echo every law.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import ClassVar, Optional
 
 import numpy as np
-from scipy import integrate
 
 from .streams import Stream
 
 __all__ = [
+    "CATALOGUE",
+    "bound_problem",
     "Distribution",
     "Exponential",
     "Deterministic",
@@ -73,6 +79,28 @@ _SEARCH_BLOCK = 1 << 14
 _MAX_STEPS = 2 * 63
 
 
+# config kind -> law, entered as each law is defined
+CATALOGUE: dict[str, type[Distribution]] = {}
+
+
+def bound_problem(value, minimum=None, exclusive_minimum=None) -> Optional[str]:
+    """Why ``value`` breaks the bound, as in 'must be > 0.0', or None when
+    it keeps it.  NaN keeps no bound."""
+    if minimum is not None and not value >= minimum:
+        return f"must be >= {minimum}"
+    if exclusive_minimum is not None and not value > exclusive_minimum:
+        return f"must be > {exclusive_minimum}"
+    return None
+
+
+def _param(key=None, **bound):
+    """A law's parameter field.  ``bound`` (``minimum`` or
+    ``exclusive_minimum``) holds for the value, for each item of a tuple of
+    numbers, and for each weight of a tuple of (weight, law) pairs.  ``key``
+    names the field in configs where that differs from its name."""
+    return field(metadata={"bound": bound, "key": key})
+
+
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
@@ -101,6 +129,24 @@ def _check_prob(p) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Distribution(ABC):
+    kind: ClassVar[str]  # the law's name in configs
+
+    def __init_subclass__(cls, kind: Optional[str] = None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if kind is not None:
+            cls.kind = kind
+            CATALOGUE[kind] = cls
+
+    def __post_init__(self):
+        for f in fields(self):
+            value, name = getattr(self, f.name), f.name
+            for x in value if isinstance(value, (tuple, list)) else (value,):
+                if isinstance(x, tuple):  # a (weight, law) pair
+                    x, name = x[0], f"{f.name} weights"
+                problem = bound_problem(x, **f.metadata.get("bound", {}))
+                if problem:
+                    raise ValueError(f"{name} {problem}")
+
     @abstractmethod
     def cdf(self, x):
         """P(Y <= x)."""
@@ -134,6 +180,8 @@ class Distribution(ABC):
         otherwise adaptive quadrature in quantile space."""
         if mu <= 0:
             raise ValueError("laplace transform evaluated for mu > 0")
+        from scipy import integrate
+
         val, err = integrate.quad(
             lambda p: math.exp(-mu * float(self.quantile(p))), 0.0, 1.0,
             epsabs=1e-13, epsrel=1e-11, limit=200,
@@ -151,12 +199,8 @@ class Distribution(ABC):
 
 
 @dataclass(frozen=True)
-class Exponential(Distribution):
-    rate: float
-
-    def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError("rate must be > 0")
+class Exponential(Distribution, kind="exponential"):
+    rate: float = _param(exclusive_minimum=0.0)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -190,12 +234,8 @@ class Exponential(Distribution):
 
 
 @dataclass(frozen=True)
-class Deterministic(Distribution):
-    value: float
-
-    def __post_init__(self):
-        if not self.value > 0:
-            raise ValueError("value must be > 0")
+class Deterministic(Distribution, kind="deterministic"):
+    value: float = _param(exclusive_minimum=0.0)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -232,17 +272,11 @@ class Deterministic(Distribution):
 
 
 @dataclass(frozen=True)
-class Pareto(Distribution):
+class Pareto(Distribution, kind="pareto"):
     """Tail (x / scale)**-alpha for x >= scale, 1 below."""
 
-    alpha: float
-    scale: float
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be > 0")
-        if not self.scale > 0:
-            raise ValueError("scale must be > 0")
+    alpha: float = _param(exclusive_minimum=0.0)
+    scale: float = _param(exclusive_minimum=0.0)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -285,21 +319,18 @@ class Pareto(Distribution):
 
 
 @dataclass(frozen=True)
-class TruncatedParetoOne(Distribution):
+class TruncatedParetoOne(Distribution, kind="truncated_pareto_one"):
     """Exact reciprocal tail: P(Y > x) = min(1, d1 / x) for x >= x0, 1 below.
 
     Requires x0 >= d1 so the tail is a genuine probability on [x0, inf);
     there is an atom of mass 1 - d1/x0 at x0 whenever x0 > d1.
     """
 
-    d1: float
-    x0: float
+    d1: float = _param(exclusive_minimum=0.0)
+    x0: float = _param(exclusive_minimum=0.0)
 
     def __post_init__(self):
-        if not self.d1 > 0:
-            raise ValueError("d1 must be > 0")
-        if not self.x0 > 0:
-            raise ValueError("x0 must be > 0")
+        super().__post_init__()
         if self.x0 < self.d1:
             raise ValueError("x0 must be >= d1")
 
@@ -338,13 +369,12 @@ class TruncatedParetoOne(Distribution):
 
 
 @dataclass(frozen=True)
-class Uniform(Distribution):
-    lo: float
-    hi: float
+class Uniform(Distribution, kind="uniform"):
+    lo: float = _param(minimum=0.0)
+    hi: float = _param(exclusive_minimum=0.0)
 
     def __post_init__(self):
-        if self.lo < 0:
-            raise ValueError("lo must be >= 0")
+        super().__post_init__()
         if not self.hi > self.lo:
             raise ValueError("hi must be > lo")
 
@@ -389,17 +419,16 @@ class Uniform(Distribution):
 
 
 @dataclass(frozen=True)
-class DiscreteUniform(Distribution):
+class DiscreteUniform(Distribution, kind="discrete_uniform"):
     """Equal weight on a finite multiset of positive values."""
 
-    values: tuple[float, ...]
+    values: tuple[float, ...] = _param("support", exclusive_minimum=0.0)
 
     def __post_init__(self):
+        object.__setattr__(self, "values", tuple(sorted(float(v) for v in self.values)))
+        super().__post_init__()
         if len(self.values) == 0:
             raise ValueError("values must be non-empty")
-        if any(not v > 0 for v in self.values):
-            raise ValueError("all values must be > 0")
-        object.__setattr__(self, "values", tuple(sorted(float(v) for v in self.values)))
 
     def _arr(self):
         return np.asarray(self.values)
@@ -445,21 +474,20 @@ class DiscreteUniform(Distribution):
 
 
 @dataclass(frozen=True)
-class Mixture(Distribution):
+class Mixture(Distribution, kind="mixture"):
     """Finite mixture: components is a tuple of (weight, distribution).
 
     The weights must sum to 1 within 1e-9.  Weights whose left-to-right sum
     is not exactly 1.0 are stored rescaled, so that the cdf reaches 1.
     """
 
-    components: tuple[tuple[float, Distribution], ...]
+    components: tuple[tuple[float, Distribution], ...] = _param(exclusive_minimum=0.0)
 
     def __post_init__(self):
+        super().__post_init__()
         if len(self.components) == 0:
             raise ValueError("mixture needs at least one component")
         total = math.fsum(w for w, _ in self.components)
-        if any(not w > 0 for w, _ in self.components):
-            raise ValueError("all mixture weights must be > 0")
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"mixture weights must sum to 1 (got {total!r})")
         weights = [w for w, _ in self.components]
@@ -653,6 +681,8 @@ def truncated_mean_by_quadrature(dist: Distribution, x: float, rel_tol: float = 
     """
     if not x > 0:
         raise ValueError("truncation point must be > 0")
+    from scipy import integrate
+
     pts = [b for b in dist._breakpoints() if 0.0 < b < x]
     val, err = integrate.quad(
         lambda u: float(dist.tail(u)), 0.0, float(x),

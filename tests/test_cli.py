@@ -2,12 +2,21 @@
 exit codes, and flag overrides.  Everything runs in-process through
 ``run(argv)``."""
 
+import inspect
 import json
+import math
+import os
+import subprocess
+import sys
+from dataclasses import fields
+from typing import get_type_hints
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import maxdater
-from maxdater.cli import ValidationError, run, validate_config
+from maxdater import ModelSpec, dists
+from maxdater.cli import ValidationError, _resolved_config, run, validate_config
 
 EXP_EXP = {"interarrival": {"kind": "exponential", "rate": 1.0},
            "service": {"kind": "exponential", "rate": 1.0}}
@@ -94,6 +103,104 @@ def test_validation_nested_mixture_paths():
         validate_config(json.dumps(body))
     assert any("model.service.components[0].dist.scale" in p
                for p in exc.value.problems)
+
+
+def test_cross_field_errors_name_the_law():
+    # bounds between fields are the constructor's, reported at the law's path
+    cases = [({"kind": "truncated_pareto_one", "d1": 2.0, "x0": 1.0},
+              "model.service: x0 must be >= d1"),
+             ({"kind": "uniform", "lo": 2.0, "hi": 1.0},
+              "model.service: hi must be > lo"),
+             ({"kind": "mixture", "components": [
+                 {"weight": 0.6, "dist": {"kind": "deterministic", "value": 1.0}},
+                 {"weight": 0.3, "dist": {"kind": "deterministic", "value": 2.0}}]},
+              "model.service: mixture weights must sum to 1")]
+    for service, message in cases:
+        with pytest.raises(ValidationError) as exc:
+            validate_config(json.dumps({"model": {
+                "interarrival": {"kind": "exponential", "rate": 1.0},
+                "service": service}}))
+        assert [p for p in exc.value.problems if p.startswith(message)]
+
+
+# ------------------------------------------------- catalogue round trip
+#
+# Every concrete law in dists, found there rather than listed here, must
+# reach the command line: a config drawn from its fields validates to the
+# law, and the report's echo of it validates to the same model.
+
+LAWS = [cls for _, cls in inspect.getmembers(dists, inspect.isclass)
+        if issubclass(cls, dists.Distribution) and not inspect.isabstract(cls)]
+NUMBERS = tuple[float, ...]
+
+
+def _field_hints(cls):
+    hints = get_type_hints(cls)
+    return [(f, hints[f.name]) for f in fields(cls)]
+
+
+# laws with no nested laws, which end the recursion
+LEAVES = [cls for cls in LAWS
+          if all(h in (float, NUMBERS) for _, h in _field_hints(cls))]
+
+
+def _numbers(bound):
+    low = bound.get("minimum", bound.get("exclusive_minimum", 0.0))
+    return st.floats(min_value=low, max_value=1e6, allow_nan=False,
+                     allow_subnormal=False,
+                     exclude_min="exclusive_minimum" in bound)
+
+
+@st.composite
+def law_and_node(draw, cls, depth):
+    """A valid law of class cls and its config node, built from the
+    dataclass fields: numbers, lists of numbers, or weighted laws."""
+    args, node = [], {"kind": cls.kind}
+    for f, hint in _field_hints(cls):
+        bound = f.metadata.get("bound", {})
+        if hint is float:
+            value = conf = draw(_numbers(bound))
+        elif hint == NUMBERS:
+            conf = draw(st.lists(_numbers(bound), min_size=1, max_size=4))
+            value = tuple(conf)
+        else:
+            raw = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3))
+            weights = [w / math.fsum(raw) for w in raw]
+            parts = [draw(any_law(depth - 1)) for _ in weights]
+            value = tuple((w, law) for w, (law, _) in zip(weights, parts))
+            conf = [{"weight": w, "dist": sub} for w, (_, sub) in zip(weights, parts)]
+        args.append(value)
+        node[f.metadata.get("key") or f.name] = conf
+    try:
+        law = cls(*args)
+    except ValueError:  # a bound between fields, such as hi > lo
+        assume(False)
+    return law, node
+
+
+def any_law(depth):
+    return st.sampled_from(LAWS if depth > 0 else LEAVES).flatmap(
+        lambda cls: law_and_node(cls, depth))
+
+
+def test_every_law_is_in_the_catalogue():
+    assert LEAVES and set(LEAVES) < set(LAWS)
+    assert {cls.kind: cls for cls in LAWS} == dists.CATALOGUE
+
+
+@pytest.mark.parametrize("cls", LAWS, ids=lambda cls: cls.__name__)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_config_round_trips_every_law(cls, data):
+    inter, inter_node = data.draw(law_and_node(cls, depth=2))
+    serv, serv_node = data.draw(any_law(depth=2))
+    cfg = validate_config(json.dumps(
+        {"model": {"interarrival": inter_node, "service": serv_node}}))
+    assert cfg.model == ModelSpec(inter, serv)
+    echo = _resolved_config(cfg, "simulate")
+    again = validate_config(json.dumps(echo))
+    assert again.model == cfg.model
+    assert _resolved_config(again, "simulate") == echo
 
 
 # ----------------------------------------------------------- worked runs
@@ -249,6 +356,17 @@ def test_unknown_subcommand_exits_2(capsys):
 # ------------------------------------------------------------ overrides
 
 
+def test_override_held_to_section_bounds(tmp_path, capsys):
+    # the flags meet the bounds of the section they override, and a
+    # violation is a config error, not a runtime failure
+    cfg = write_config(tmp_path, {"model": EXP_EXP})
+    capsys.readouterr()
+    assert run(["regen", "--config", cfg, "--reps", "5"]) == 2
+    assert "--reps: must be >= 1000" in capsys.readouterr().err
+    assert run(["classify", "--config", cfg, "--reps", "5"]) == 2
+    assert "--reps: must be >= 100" in capsys.readouterr().err
+
+
 def test_reps_override_maps_to_samples_for_tails(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "model": EXP_EXP,
@@ -287,3 +405,16 @@ def test_regen_and_compare_commands_run(tmp_path, capsys):
     assert report["result"]["infinite_server"]["verdict"] == "positive_recurrent"
     assert report["result"]["single_server"]["walk_verdict"] == "drift_minus_infinity"
     assert "same phase" in report["result"]["commentary"]
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy's quadrature is imported where it is called, so starting the
+    # command line loads no scipy module
+    src = os.path.dirname(os.path.dirname(maxdater.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, maxdater.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -14,6 +14,7 @@ from maxdater.dists import (
     TruncatedParetoOne,
 )
 from maxdater.tails import (
+    _WILSON_Z,
     NotPositiveRecurrent,
     Regime,
     detect_regime,
@@ -23,6 +24,14 @@ from maxdater.tails import (
 )
 
 EXP_EXP = ModelSpec(Exponential(1.0), Exponential(1.0))
+
+
+def test_wilson_z_is_scipys_normal_quantile():
+    # a literal, so importing tails loads no scipy.stats; the stdlib's
+    # NormalDist().inv_cdf(0.995) is one ulp off and would move report bytes
+    from scipy.stats import norm
+
+    assert _WILSON_Z == float(norm.ppf(0.995))
 
 
 # ---------------------------------------------------------- predictions
