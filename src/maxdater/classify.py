@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -35,7 +35,7 @@ from .dists import (
     QuadratureError,
     TruncatedParetoOne,
 )
-from .engine import ModelSpec
+from .engine import ModelSpec, _block, _epochs, _forward
 from .streams import Stream, run_chunked
 
 __all__ = [
@@ -59,7 +59,6 @@ __all__ = [
     "compare_queues",
 ]
 
-_BLOCK_ELEMS = 1 << 20
 _GRID_POINTS = 200
 _DEFAULT_SEED = 20260816  # classify() without a stream stays reproducible
 
@@ -181,25 +180,20 @@ def _grid_tail_sums(m: ModelSpec, counts: np.ndarray, count: int,
     ``counts[j]`` terms.  counts must be non-decreasing; a zero count means
     the empty sum.  Returns an array of shape (count, len(counts))."""
     n_terms = int(counts[-1])
-    out = np.zeros((count, len(counts)))
-    gi = int(np.searchsorted(counts, 1))  # leading zero-counts stay 0
-    block = max(1, min(n_terms, _BLOCK_ELEMS // max(count, 1)))
+    out = np.zeros((count, len(counts)))  # zero counts stay 0
+    block = _block(count, n_terms)
     acc = np.zeros(count)
     offset = np.zeros(count)
-    k0 = 0
-    while k0 < n_terms:
+    for k0 in range(0, n_terms, block):
         length = min(block, n_terms - k0)
         t = m.interarrival.sample(stream, (count, length))
-        cum = np.cumsum(t, axis=1)
-        cum += offset[:, None]
+        cum = _epochs(t, offset)
         g = np.cumsum(m.service.tail(shift + cum), axis=1)
         g += acc[:, None]
-        while gi < len(counts) and counts[gi] <= k0 + length:
-            out[:, gi] = g[:, int(counts[gi]) - k0 - 1]
-            gi += 1
+        here = (counts > k0) & (counts <= k0 + length)
+        out[:, here] = g[:, counts[here] - k0 - 1]
         acc = g[:, -1]
         offset = cum[:, -1]
-        k0 += length
     return out
 
 
@@ -210,6 +204,22 @@ def _det_grid_tail_sums(m: ModelSpec, counts: np.ndarray, shift: float) -> np.nd
     sums = np.concatenate([[0.0], np.cumsum(
         m.service.tail(shift + r * np.arange(1, n_terms + 1)))])
     return sums[counts.astype(np.int64)][None, :]
+
+
+def _tail_sums(m: ModelSpec, counts: np.ndarray, shift: float, reps: int,
+               stream: Stream, threads: int) -> np.ndarray:
+    """Sums of Fbar_service(shift + T_k) after ``counts[j]`` terms, one row
+    per path: ``reps`` sampled paths, or the one exact path when arrivals
+    are deterministic."""
+    if isinstance(m.interarrival, Deterministic):
+        return _det_grid_tail_sums(m, counts, shift)
+    if stream is None:
+        raise ValueError("a stream is required for random arrivals")
+    parts = run_chunked(
+        lambda st, start, count: _grid_tail_sums(m, counts, count, st, shift),
+        reps, stream, threads=threads,
+    )
+    return np.concatenate(parts, axis=0)
 
 
 def _trapezoid_partial_sums(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -234,18 +244,7 @@ def tail_series(m: ModelSpec, n_max: int, reps: int, stream: Stream = None,
     """
     _check_series_args(n_max, reps)
     grid = _log_grid(n_max)
-    if isinstance(m.interarrival, Deterministic):
-        sums = _det_grid_tail_sums(m, grid, 0.0)
-        reps_used = 1
-    else:
-        if stream is None:
-            raise ValueError("a stream is required for random arrivals")
-        parts = run_chunked(
-            lambda st, start, count: _grid_tail_sums(m, grid, count, st, 0.0),
-            reps, stream, threads=threads,
-        )
-        sums = np.concatenate(parts, axis=0)
-        reps_used = reps
+    sums = _tail_sums(m, grid, 0.0, reps, stream, threads)
     votes = [_series_verdict(grid, row, thresholds)[0] for row in sums]
     vc = sum(v is SeriesVerdict.CONVERGES for v in votes) / len(votes)
     vd = sum(v is SeriesVerdict.DIVERGES for v in votes) / len(votes)
@@ -260,7 +259,7 @@ def tail_series(m: ModelSpec, n_max: int, reps: int, stream: Stream = None,
     return SeriesDiagnostic(
         kind=SeriesKind.TAIL, grid=grid, partial_sums=median, slope=slope,
         verdict=verdict, params={}, votes_converge=vc, votes_diverge=vd,
-        reps=reps_used, n_max=n_max,
+        reps=len(sums), n_max=n_max,
     )
 
 
@@ -276,26 +275,15 @@ def _exp_series(m: ModelSpec, shift: float, factor: float, inner_offset: int,
     """
     _check_series_args(n_max, reps)
     grid = _log_grid(n_max)
-    counts = np.maximum(grid + inner_offset, 0)
-    if isinstance(m.interarrival, Deterministic):
-        sums = _det_grid_tail_sums(m, counts, shift)
-        reps_used = 1
-    else:
-        if stream is None:
-            raise ValueError("a stream is required for random arrivals")
-        parts = run_chunked(
-            lambda st, start, count: _grid_tail_sums(m, counts, count, st, shift),
-            reps, stream, threads=threads,
-        )
-        sums = np.concatenate(parts, axis=0)
-        reps_used = reps
+    sums = _tail_sums(m, np.maximum(grid + inner_offset, 0), shift, reps,
+                      stream, threads)
     values = np.mean(np.exp(-factor * sums), axis=0)
     partial = _trapezoid_partial_sums(grid, values)
     verdict, slope = _series_verdict(grid, partial, thresholds)
     return SeriesDiagnostic(
         kind=kind, grid=grid, partial_sums=partial, slope=slope,
         verdict=verdict, params=params, values=values,
-        reps=reps_used, n_max=n_max,
+        reps=len(sums), n_max=n_max,
     )
 
 
@@ -344,13 +332,10 @@ def occupation_estimate(m: ModelSpec, x: float, y: float, horizon: int,
         raise ValueError("horizon must be >= 1000")
 
     def chunk(st: Stream, start: int, count: int):
-        xv = np.full(count, float(x))
-        visits = (xv <= y).astype(np.int64)
-        for _ in range(horizon):
-            t = m.interarrival.sample(st, count)
-            s = m.service.sample(st, count)
-            xv = np.maximum(xv - t, s)
-            visits += xv <= y
+        x0 = np.full(count, float(x))
+        visits = (x0 <= y).astype(np.int64)
+        for xs, _ in _forward(m, x0, horizon, st):
+            visits += np.count_nonzero(xs <= y, axis=1)
         return visits
 
     parts = run_chunked(chunk, reps, stream, threads=threads)

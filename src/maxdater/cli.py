@@ -363,7 +363,7 @@ def _dist_node(d: Distribution) -> dict:
 def _resolved_config(cfg: ExperimentConfig, command: str) -> dict:
     # threads and output paths are execution details: they may not change
     # any numbers, so they stay out of the report to keep it byte-stable
-    return {
+    config = {
         "schema": _SCHEMA,
         "seed": cfg.seed,
         "model": {
@@ -373,6 +373,9 @@ def _resolved_config(cfg: ExperimentConfig, command: str) -> dict:
         command: _jsonable(cfg.sections["classify" if command == "compare"
                                         else command]),
     }
+    if command == "tails":  # tails classifies the model with this section
+        config["classify"] = _jsonable(cfg.sections["classify"])
+    return config
 
 
 # ------------------------------------------------------------- commands
@@ -426,7 +429,7 @@ def _cmd_stationary(cfg: ExperimentConfig, stream: Stream, strict: bool):
             "record_fraction": exc.fraction,
             "horizon": exc.horizon,
         }
-        return result, None, 0
+        return result, [("value",)], 0
     values = batch.values
     qs = {q: float(np.quantile(values, q)) for q in (0.5, 0.9, 0.99)}
     result = {
@@ -502,9 +505,11 @@ def _cmd_regen(cfg: ExperimentConfig, stream: Stream, strict: bool):
 
 def _cmd_tails(cfg: ExperimentConfig, stream: Stream, strict: bool):
     sec = cfg.sections["tails"]
+    # no stream: classify's default seed, as empirical_tail would use
+    verdict = classify(cfg.model, _classifier_config(cfg))
     report = empirical_tail(cfg.model, sec["grid"], sec["samples"],
-                            sec["horizon"], stream, points=sec["points"],
-                            threads=cfg.threads)
+                            sec["horizon"], stream, classification=verdict,
+                            points=sec["points"], threads=cfg.threads)
     rows = [("x", "predicted", "empirical", "lo", "hi", "ratio")]
     for i, x in enumerate(report.grid):
         rows.append((
@@ -553,16 +558,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(cfg: ExperimentConfig, command: str, args) -> list:
     problems = []
-    if args.seed is not None:
-        if args.seed < 0:
-            problems.append("--seed: must be >= 0")
-        else:
-            cfg.seed = args.seed
-    if args.threads is not None:
-        if args.threads < 1:
-            problems.append("--threads: must be >= 1")
-        else:
-            cfg.threads = args.threads
+    for flag, low in (("seed", 0), ("threads", 1)):
+        value = getattr(args, flag)
+        if value is not None and value < low:
+            problems.append(f"--{flag}: must be >= {low}")
+        elif value is not None:
+            setattr(cfg, flag, value)
     name = "classify" if command == "compare" else command
     for flag in ("reps", "horizon", "n"):
         value = getattr(args, flag)
@@ -629,7 +630,7 @@ def run(argv=None) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if args.csv and rows is not None:
+    if args.csv:
         _write_csv(args.csv, rows)
     return code
 

@@ -8,7 +8,12 @@ customer ("maximum dater"):
 
 Draw layout is fixed: every simulator fills its inter-arrival block first,
 then its service block, so two simulators fed the same stream consume
-identical uniforms in identical order.
+identical uniforms in identical order.  Batches of paths draw (paths,
+block) pieces, one row per path, of at most 2**20 draws, with the last
+piece cut to the horizon; where the draws must not depend on the horizon
+(the single stationary draw, the absorbing scan for bounded service)
+whole 4096- or 64-wide pieces are drawn.  A row's arrival epochs are its
+cumulative sum within the piece plus the epoch it carried in.
 """
 
 from __future__ import annotations
@@ -20,6 +25,10 @@ import numpy as np
 
 from .dists import Distribution
 from .streams import Stream
+
+# Draws in one (paths, block) piece at most.  Fixed, so results depend only
+# on the seed and the replication plan, never on memory pressure.
+_BLOCK_ELEMS = 1 << 20
 
 __all__ = [
     "ModelSpec",
@@ -92,6 +101,49 @@ def driving_draws(m: ModelSpec, n_t: int, n_s: int, stream: Stream):
     t = m.interarrival.sample(stream, n_t)
     s = m.service.sample(stream, n_s)
     return np.atleast_1d(t), np.atleast_1d(s)
+
+
+def _block(rows: int, steps: int) -> int:
+    """Width of (rows, block) pieces of at most ``_BLOCK_ELEMS`` draws."""
+    return max(1, min(steps, _BLOCK_ELEMS // max(rows, 1)))
+
+
+def _epochs(t: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """Arrival epochs of a (paths, block) piece of inter-arrival times:
+    each row's cumulative sum plus the epoch the row carried in."""
+    cum = np.cumsum(t, axis=1)
+    cum += offset[:, None]
+    return cum
+
+
+def _forward(m: ModelSpec, x0: np.ndarray, steps: int, stream: Stream):
+    """Forward paths from the workloads ``x0`` over ``steps`` steps, drawn
+    in (paths, block) pieces, inter-arrival piece first.  Yields X_k and T_k
+    for each piece's steps; each row is the recursion step by step, bit
+    for bit."""
+    x, rows = np.asarray(x0, dtype=float), len(x0)
+    block, offset = _block(rows, steps), np.zeros(rows)
+    for k0 in range(0, steps, block):
+        length = min(block, steps - k0)
+        t = m.interarrival.sample(stream, (rows, length))
+        s = m.service.sample(stream, (rows, length))
+        arrivals = _epochs(t, offset)
+        # step-major, so that each step writes one contiguous row
+        xs = np.empty((length, rows))
+        for tk, sk, xk in zip(t.T, s.T, xs):
+            np.subtract(x, tk, out=xk)
+            np.maximum(xk, sk, out=xk)
+            x = xk
+        offset = arrivals[:, -1]
+        yield xs.T, arrivals
+
+
+def _endpoints(m: ModelSpec, x0: np.ndarray, steps: int, stream: Stream):
+    """X_n and T_n after ``steps`` steps of ``_forward``."""
+    x, arrivals = np.asarray(x0, dtype=float), np.zeros(len(x0))
+    for xs, epochs in _forward(m, x0, steps, stream):
+        x, arrivals = xs[:, -1], epochs[:, -1]
+    return x, arrivals
 
 
 def path_from_draws(x0: float, t: np.ndarray, s: np.ndarray) -> PathSample:

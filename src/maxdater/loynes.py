@@ -20,12 +20,12 @@ can win, so the truncated value *is* a perfect stationary draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .engine import ModelSpec
+from .engine import _BLOCK_ELEMS, ModelSpec, _block, _endpoints, _epochs
 from .streams import Stream, run_chunked
 
 __all__ = [
@@ -41,11 +41,6 @@ __all__ = [
     "stationary_window",
     "tv_discrepancy",
 ]
-
-# Steps simulated per vectorized block.  Fixed so that results depend only
-# on the seed and the replication plan, never on memory pressure.
-_BLOCK_ELEMS = 1 << 20
-
 
 class DivergenceSuspected(RuntimeError):
     """Running maxima kept improving late in the horizon for a large share
@@ -146,8 +141,7 @@ def backward_maxdater(s_rev, t_rev, n: int) -> BackwardSample:
 
 def _residual_grid(horizon: int) -> np.ndarray:
     lo = max(1, horizon // 2)
-    g = np.unique(np.round(np.geomspace(lo, horizon, 12)).astype(np.int64))
-    return g
+    return np.unique(np.round(np.geomspace(lo, horizon, 12)).astype(np.int64))
 
 
 def _fit_residual(grid: np.ndarray, means: np.ndarray, horizon: int) -> float:
@@ -171,71 +165,72 @@ def _fit_residual(grid: np.ndarray, means: np.ndarray, horizon: int) -> float:
     return math.exp(log_resid)
 
 
-def _scan_fixed(m: ModelSpec, horizon: int, count: int, stream: Stream,
-                grid: np.ndarray):
-    """One chunk of backward constructions over a fixed horizon.
+def _backward(m: ModelSpec, rows: int, stream: Stream, horizon: float, *,
+              s_up: float = math.inf, block: Optional[int] = None,
+              grid: Optional[np.ndarray] = None):
+    """Running maxima of st_j - Tt_{j-1}, floored at 0, for ``rows`` paths
+    over at most ``horizon`` reversed drivers in (rows, block) pieces.
 
-    Returns final values, last record index per path (1-based), and the
-    per-grid-point sums of service tails at Tt_j for the residual fit.
+    A path stops once its clock Tt passes ``s_up`` (no later term can win);
+    an infinite horizon runs until all have, within a bound worked out up
+    front.  Pieces are ``block`` wide, drawn whole past the horizon so that
+    the draws do not depend on it, or by default hold up to ``_BLOCK_ELEMS``
+    draws with the last cut to the horizon.  Given a ``grid``, also tracks
+    each path's last record (1-based) and the sums of service tails at Tt_j.
     """
-    block = max(1, min(horizon, _BLOCK_ELEMS // max(count, 1)))
-    offset = np.zeros(count)
-    best = np.zeros(count)
-    last_rec = np.zeros(count, dtype=np.int64)
-    tail_sums = np.zeros(len(grid))
-    j0 = 0
-    while j0 < horizon:
-        length = min(block, horizon - j0)
-        t = m.interarrival.sample(stream, (count, length))
-        s = m.service.sample(stream, (count, length))
-        cum = np.cumsum(t, axis=1)
-        cum += offset[:, None]
-        tprev = np.empty_like(cum)
-        tprev[:, 0] = offset
+    absorb = math.isinf(horizon)
+    if absorb:
+        # k = ceil(s_up / median) draws of at least the inter-arrival median
+        # pass s_up, a step draws one with probability >= 1/2, so by Hoeffding
+        # N = 4 (k + ln(rows * 1e12)) steps fall short w.p. <= 1e-12 / rows
+        median = float(m.interarrival.quantile(0.5))
+        if not median > 0.0:
+            raise ValueError(f"the absorbing scan needs a positive inter-arrival "
+                             f"median to pass the service supremum {s_up}, got {median}")
+        horizon = 4 * (math.ceil(s_up / median) + math.ceil(math.log(rows * 1e12)))
+    tail_sums = np.zeros(0 if grid is None else len(grid))
+    # the running rows' state, compacted when rows stop
+    ids, best, offset = np.arange(rows), np.zeros(rows), np.zeros(rows)
+    last_rec = np.zeros(rows, dtype=np.int64)
+    done, j0 = [], 0  # done: (ids, best, last_rec) of the stopped rows
+    while len(ids) and j0 < horizon:
+        use = min(block or _block(rows, horizon), horizon - j0)
+        t = m.interarrival.sample(stream, (len(ids), block or use))
+        s = m.service.sample(stream, (len(ids), block or use))
+        cum = _epochs(t[:, :use], offset)
+        tprev = np.empty_like(cum)  # in place or by np.concatenate, these
+        tprev[:, 0] = offset        # made glibc trim and re-fault the pieces
         tprev[:, 1:] = cum[:, :-1]
-        terms = s - tprev
-        comb = np.maximum(np.maximum.accumulate(terms, axis=1), best[:, None])
-        prev = np.empty_like(comb)
-        prev[:, 0] = best
-        prev[:, 1:] = comb[:, :-1]
-        improved = terms > prev
-        any_imp = improved.any(axis=1)
-        lastcol = length - 1 - np.argmax(improved[:, ::-1], axis=1)
-        last_rec = np.where(any_imp, j0 + 1 + lastcol, last_rec)
-        in_block = (grid > j0) & (grid <= j0 + length)
-        for gi in np.nonzero(in_block)[0]:
-            col = int(grid[gi]) - j0 - 1
-            tail_sums[gi] += float(np.sum(m.service.tail(cum[:, col])))
-        best = comb[:, -1]
+        terms = s[:, :use] - tprev
+        if grid is None:
+            best = np.maximum(best, terms.max(axis=1))
+        else:
+            comb = np.maximum(np.maximum.accumulate(terms, axis=1), best[:, None])
+            prev = np.empty_like(comb)
+            prev[:, 0] = best
+            prev[:, 1:] = comb[:, :-1]
+            improved = terms > prev
+            lastcol = use - 1 - np.argmax(improved[:, ::-1], axis=1)
+            last_rec = np.where(improved.any(axis=1), j0 + 1 + lastcol, last_rec)
+            for gi in np.nonzero((grid > j0) & (grid <= j0 + use))[0]:
+                tail_sums[gi] += float(np.sum(m.service.tail(cum[:, grid[gi] - j0 - 1])))
+            best = comb[:, -1]
         offset = cum[:, -1]
-        j0 += length
+        j0 += use
+        stop = offset >= s_up
+        if stop.any():
+            done.append((ids[stop], best[stop], last_rec[stop]))
+            ids, best, offset, last_rec = (a[~stop] for a in (ids, best, offset, last_rec))
+    if absorb and len(ids):
+        raise RuntimeError(
+            f"{len(ids)} of {rows} reversed clocks stayed below the service "
+            f"supremum {s_up} for {horizon} steps: the inter-arrival law draws "
+            f"below its median {median} more often than half the time")
+    if done:  # back to row order
+        done.append((ids, best, last_rec))
+        order = np.argsort(np.concatenate([d[0] for d in done]))
+        best, last_rec = (np.concatenate([d[i] for d in done])[order] for i in (1, 2))
     return np.maximum(best, 0.0), last_rec, tail_sums
-
-
-def _scan_bounded(m: ModelSpec, count: int, stream: Stream, s_up: float):
-    """Exact stationary draws for bounded service: run each path until the
-    reversed arrival clock passes the service supremum."""
-    block = 64
-    offset = np.zeros(count)
-    best = np.zeros(count)
-    active = np.arange(count)
-    guard = 0
-    while len(active):
-        t = m.interarrival.sample(stream, (len(active), block))
-        s = m.service.sample(stream, (len(active), block))
-        cum = np.cumsum(t, axis=1)
-        cum += offset[active, None]
-        tprev = np.empty_like(cum)
-        tprev[:, 0] = offset[active]
-        tprev[:, 1:] = cum[:, :-1]
-        terms = s - tprev
-        best[active] = np.maximum(best[active], terms.max(axis=1))
-        offset[active] = cum[:, -1]
-        active = active[offset[active] < s_up]
-        guard += 1
-        if guard > 10_000_000:  # pragma: no cover
-            raise RuntimeError("absorbing scan failed to terminate")
-    return np.maximum(best, 0.0)
 
 
 def stationary_batch(
@@ -260,24 +255,22 @@ def stationary_batch(
         raise ValueError("horizon must be >= 1")
     _, s_up = m.service.support()
     if math.isfinite(s_up):
+        # absorbing paths mostly stop within a few draws: narrow pieces
         parts = run_chunked(
-            lambda st, start, count: _scan_bounded(m, count, st, s_up),
+            lambda st, start, count: _backward(
+                m, count, st, math.inf, s_up=s_up, block=64)[0],
             reps, stream, threads=threads,
         )
-        values = np.concatenate(parts)
-        return StationaryBatch(values=values, residual_bound=0.0,
+        return StationaryBatch(values=np.concatenate(parts), residual_bound=0.0,
                                horizon=horizon, reps=reps, exact=True)
 
     grid = _residual_grid(horizon)
     parts = run_chunked(
-        lambda st, start, count: _scan_fixed(m, horizon, count, st, grid),
+        lambda st, start, count: _backward(m, count, st, horizon, grid=grid),
         reps, stream, threads=threads,
     )
-    values = np.concatenate([p[0] for p in parts])
-    last_rec = np.concatenate([p[1] for p in parts])
-    tail_sums = np.zeros(len(grid))
-    for p in parts:
-        tail_sums += p[2]
+    values, last_rec = (np.concatenate([p[i] for p in parts]) for i in (0, 1))
+    tail_sums = sum(p[2] for p in parts)
     win_start = int(divergence.window_fraction * horizon)
     frac = float(np.mean(last_rec > win_start))
     # below ~a decade of indices every path records inside the window and
@@ -287,33 +280,6 @@ def stationary_batch(
     residual = _fit_residual(grid, tail_sums / reps, horizon)
     return StationaryBatch(values=values, residual_bound=residual,
                            horizon=horizon, reps=reps, record_fraction=frac)
-
-
-_SAMPLE_BLOCK = 4096
-
-
-def _single_backward(m: ModelSpec, horizon: int, stream: Stream) -> float:
-    """One backward construction with a horizon-independent draw layout.
-
-    Full fixed-size blocks are drawn even when only a prefix is needed, so
-    the same seed yields the same driver sequence at every horizon and the
-    running maximum is monotone in the horizon, bit for bit.
-    """
-    s_up = m.service.support()[1]
-    best = 0.0
-    offset = 0.0
-    done = 0
-    while done < horizon:
-        t = np.atleast_1d(m.interarrival.sample(stream, _SAMPLE_BLOCK))
-        s = np.atleast_1d(m.service.sample(stream, _SAMPLE_BLOCK))
-        use = min(_SAMPLE_BLOCK, horizon - done)
-        tprev = offset + np.concatenate(([0.0], np.cumsum(t[: use - 1])))
-        best = max(best, float(np.max(s[:use] - tprev)))
-        offset = float(tprev[-1] + t[use - 1])
-        done += use
-        if offset >= s_up:
-            break  # every later term is <= s_up - offset <= 0
-    return best
 
 
 def stationary_sample(
@@ -327,16 +293,16 @@ def stationary_sample(
 
     A pilot batch (``divergence.pilot`` trajectories, first stream child)
     feeds the divergence check and the residual fit; the returned value is
-    an independent single construction (second child) whose draw layout
-    does not depend on the horizon, so on a fixed seed the value is
-    non-decreasing in the horizon.
+    an independent single construction (second child) drawn in whole
+    4096-wide blocks, so on a fixed seed it is non-decreasing in the horizon.
     """
     batch = stationary_batch(
         m, horizon, max(1, divergence.pilot), stream.child(0),
         divergence=divergence,
     )
-    value = _single_backward(m, horizon, stream.child(1))
-    return value, float(batch.residual_bound)
+    best, _, _ = _backward(m, 1, stream.child(1), horizon,
+                           s_up=m.service.support()[1], block=_BLOCK_ELEMS >> 8)
+    return float(best[0]), float(batch.residual_bound)
 
 
 def stationary_window(
@@ -388,20 +354,6 @@ def stationary_window(
                             back_horizon=back_horizon)
 
 
-def _forward_finals(m: ModelSpec, x0: float, n: int, count: int, stream: Stream):
-    """Terminal workload and terminal arrival epoch of ``count`` forward
-    paths; per step the layout is one inter-arrival block then one service
-    block."""
-    x = np.full(count, float(x0))
-    tot = np.zeros(count)
-    for _ in range(n):
-        t = m.interarrival.sample(stream, count)
-        s = m.service.sample(stream, count)
-        x = np.maximum(x - t, s)
-        tot += t
-    return x, tot
-
-
 def _binned_tv(a: np.ndarray, b: np.ndarray, edges: np.ndarray) -> float:
     ca = np.histogram(a, bins=edges)[0] / len(a)
     cb = np.histogram(b, bins=edges)[0] / len(b)
@@ -430,17 +382,13 @@ def tv_discrepancy(
     if bins < 2:
         raise ValueError("bins must be >= 2")
 
-    parts_a = run_chunked(
-        lambda st, start, count: _forward_finals(m, x0, n, count, st),
-        reps, stream.child(0), threads=threads,
-    )
-    parts_b = run_chunked(
-        lambda st, start, count: _forward_finals(m, 0.0, n, count, st),
-        reps, stream.child(1), threads=threads,
-    )
-    xa = np.concatenate([p[0] for p in parts_a])
-    ta = np.concatenate([p[1] for p in parts_a])
-    xb = np.concatenate([p[0] for p in parts_b])
+    def endpoints(x: float, st: Stream):
+        parts = run_chunked(
+            lambda st, start, count: _endpoints(m, np.full(count, x), n, st),
+            reps, st, threads=threads)
+        return [np.concatenate(p) for p in zip(*parts)]
+
+    (xa, ta), (xb, _) = endpoints(float(x0), stream.child(0)), endpoints(0.0, stream.child(1))
     bound = float(np.mean(ta <= x0))
 
     pooled = np.concatenate([xa, xb])

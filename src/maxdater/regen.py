@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .dists import Deterministic
-from .engine import ModelSpec, PathSample
+from .engine import ModelSpec, PathSample, _endpoints, _forward
 from .streams import Stream, run_chunked
 
 __all__ = [
@@ -100,25 +100,24 @@ def _phi_batch(m: ModelSpec, params: RegenParams, count: int,
                stream: Stream) -> np.ndarray:
     """``count`` draws from the post-regeneration law by rejection:
     run m0 steps from empty, keep the terminal workload when the window's
-    arrival gap clears w0."""
-    out = np.empty(count)
-    filled = 0
-    guard = 0
-    while filled < count:
-        pending = count - filled
-        t = m.interarrival.sample(stream, (pending, params.m0))
-        s = m.service.sample(stream, (pending, params.m0))
-        x = np.zeros(pending)
-        for j in range(params.m0):
-            x = np.maximum(x - t[:, j], s[:, j])
-        accept = t.sum(axis=1) > params.w0
-        k = int(accept.sum())
-        out[filled:filled + k] = x[accept]
-        filled += k
-        guard += 1
-        if guard > 10_000:  # pragma: no cover - acceptance prob >= 1/2
-            raise RuntimeError("rejection sampler failed to accept")
-    return out
+    arrival gap clears w0.  A round accepts with probability p_gap, so
+    the least R with count * (1 - p_gap)**R <= 1e-12 rounds suffice."""
+    miss = 1.0 - params.p_gap
+    if not 0.0 <= miss < 1.0:
+        raise ValueError(f"p_gap must be in (0, 1], got {params.p_gap}")
+    rounds = max(1, math.ceil(math.log(1e-12 / count) / math.log(miss))) if miss else 1
+    out, filled = np.empty(count), 0
+    for _ in range(rounds):
+        x, gap = _endpoints(m, np.zeros(count - filled), params.m0, stream)
+        accept = x[gap > params.w0]
+        out[filled:filled + len(accept)] = accept
+        filled += len(accept)
+        if filled == count:
+            return out
+    raise RuntimeError(
+        f"rejection sampler accepted {filled} of {count} draws in {rounds} "
+        f"rounds: P(T_m0 > w0) is below p_gap = {params.p_gap} for "
+        f"m0 = {params.m0}, w0 = {params.w0}")
 
 
 def phi_sample(m: ModelSpec, params: RegenParams, stream: Stream) -> float:
@@ -148,25 +147,18 @@ def detect(path: PathSample, params: RegenParams) -> RegenTrace:
 
 def _renewal_chunk(m: ModelSpec, params: RegenParams, horizon: int,
                    count: int, stream: Stream):
+    """Regeneration indicators of ``count`` phi-started paths per window,
+    from the workloads and arrival epochs at window ends, as in ``detect``."""
     m0, w0 = params.m0, params.w0
-    k_max = horizon // m0
-    x = _phi_batch(m, params, count, stream)
-    r = np.zeros((count, k_max), dtype=bool)
-    wins_per_block = max(1, 4096 // m0)
-    k = 0
-    while k < k_max:
-        wins = min(wins_per_block, k_max - k)
-        t = m.interarrival.sample(stream, (count, wins * m0))
-        s = m.service.sample(stream, (count, wins * m0))
-        for w in range(wins):
-            lo = w * m0
-            start_ok = x <= w0
-            gap = t[:, lo:lo + m0].sum(axis=1)
-            for j in range(lo, lo + m0):
-                x = np.maximum(x - t[:, j], s[:, j])
-            r[:, k + w] = start_ok & (gap > w0)
-        k += wins
-    return r
+    x0 = _phi_batch(m, params, count, stream)
+    xs, epochs, k = [x0[:, None]], [np.zeros((count, 1))], 0
+    for x, arrivals in _forward(m, x0, (horizon // m0) * m0, stream):
+        first = -(k + 1) % m0  # the piece's first column at a window end
+        xs.append(x[:, first::m0])
+        epochs.append(arrivals[:, first::m0])
+        k += x.shape[1]
+    gaps = np.diff(np.concatenate(epochs, axis=1), axis=1)
+    return (np.concatenate(xs, axis=1)[:, :-1] <= w0) & (gaps > w0)
 
 
 def renewal_tests(m: ModelSpec, params: RegenParams, reps: int, horizon: int,
@@ -191,13 +183,10 @@ def renewal_tests(m: ModelSpec, params: RegenParams, reps: int, horizon: int,
     u_hat = np.concatenate([[1.0], r.mean(axis=0)])
     any_r = r.any(axis=1)
     frac_no = float(np.mean(~any_r))
-    if frac_no > 0.10:
+    if frac_no > 0.10 or not any_r.any():
         cycle_mean = math.inf
-    elif any_r.any():
-        first = (np.argmax(r[any_r], axis=1) + 1) * params.m0
-        cycle_mean = float(first.mean())
     else:
-        cycle_mean = math.inf
+        cycle_mean = float(((np.argmax(r[any_r], axis=1) + 1) * params.m0).mean())
     return RenewalSummary(
         sum_u=float(u_hat.sum()),
         cesaro=float(u_hat.mean()),

@@ -10,7 +10,7 @@ draws no matter how work is batched or which thread runs it.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, TypeVar
 
 import numpy as np
 

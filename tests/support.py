@@ -199,3 +199,23 @@ def model_catalogue():
         ("det_tpo_half", ModelSpec(Deterministic(1.0), TruncatedParetoOne(0.5, 1.0))),
         ("det_tpo_two", ModelSpec(Deterministic(1.0), TruncatedParetoOne(2.0, 2.0))),
     ]
+
+
+class RecordingLaw:
+    """Wraps a law and keeps every piece it samples, so a test can replay
+    the exact draws a batched kernel consumed, row by row."""
+
+    def __init__(self, law):
+        self.law = law
+        self.pieces = []
+
+    def __getattr__(self, name):
+        return getattr(self.law, name)
+
+    def sample(self, stream, size=None):
+        out = self.law.sample(stream, size)
+        self.pieces.append(out.copy())  # kernels may work in place
+        return out
+
+    def rows(self):
+        return np.concatenate(self.pieces, axis=1)

@@ -418,3 +418,35 @@ def test_cli_import_loads_no_scipy():
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_stationary_csv_written_when_divergence_suspected(tmp_path, capsys):
+    model = {"interarrival": {"kind": "deterministic", "value": 1.0},
+             "service": {"kind": "truncated_pareto_one", "d1": 2.0, "x0": 2.0}}
+    cfg = write_config(tmp_path, {"model": model,
+                                  "stationary": {"horizon": 1000, "reps": 200}})
+    csv_path = tmp_path / "values.csv"
+    assert run(["stationary", "--config", cfg, "--csv", str(csv_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["divergence_suspected"]
+    assert csv_path.read_text() == "value\n"
+
+
+def test_tails_classifies_with_the_classify_section(tmp_path, capsys, monkeypatch):
+    import maxdater.cli as cli
+
+    seen = []
+
+    def spy(m, cfg=None, stream=None):
+        seen.append((cfg, stream))
+        return maxdater.classify(m, cfg, stream)
+
+    monkeypatch.setattr(cli, "classify", spy)
+    cfg = write_config(tmp_path, {
+        "model": EXP_EXP, "classify": {"n_max": 2000, "reps": 150},
+        "tails": {"grid": [2.0, 3.0], "samples": 500, "horizon": 100}})
+    assert run(["tails", "--config", cfg]) == 0
+    (ccfg, stream), = seen
+    assert (ccfg.n_max, ccfg.reps, stream) == (2000, 150, None)
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["classify"]["n_max"] == 2000
+    assert report["config"]["classify"]["reps"] == 150

@@ -5,8 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxdater import ModelSpec, Stream, simulate_path, simulate_gg1
-from maxdater.dists import Deterministic, Exponential, Pareto
+from maxdater import engine
+from maxdater.classify import occupation_estimate
+from maxdater.loynes import tv_discrepancy
+from maxdater.regen import find_params, renewal_tests
+from maxdater.dists import Deterministic, Distribution, Exponential, Pareto
 from maxdater.engine import (
+    _forward,
     coupling_time,
     driving_draws,
     gg1_from_draws,
@@ -15,7 +20,7 @@ from maxdater.engine import (
     path_from_draws,
 )
 
-from support import forward_oracle, lindley_oracle, model_catalogue
+from support import RecordingLaw, forward_oracle, lindley_oracle, model_catalogue
 
 pos = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False)
 
@@ -132,3 +137,49 @@ def test_reproducible_paths(seed, x0):
     a = simulate_path(m, x0, 40, Stream.from_seed(seed))
     b = simulate_path(m, x0, 40, Stream.from_seed(seed))
     assert np.array_equal(a.x, b.x)
+
+
+# ------------------------------------------------- batched forward stepper
+
+
+@given(case=st.sampled_from(model_catalogue()), rows=st.integers(1, 5),
+       steps=st.integers(1, 40), block_elems=st.integers(1, 64),
+       seed=st.integers(0, 2**31), x0=st.floats(0, 20))
+@settings(max_examples=150, deadline=None)
+def test_forward_stepper_rows_match_oracle(case, rows, steps, block_elems, seed, x0):
+    # small blocks split the horizon into several pieces
+    name, m = case
+    t_law, s_law = RecordingLaw(m.interarrival), RecordingLaw(m.service)
+    old = engine._BLOCK_ELEMS
+    engine._BLOCK_ELEMS = block_elems
+    try:
+        pieces = list(_forward(ModelSpec(t_law, s_law), np.full(rows, x0), steps,
+                               Stream.from_seed(seed)))
+    finally:
+        engine._BLOCK_ELEMS = old
+    x = np.concatenate([p[0] for p in pieces], axis=1)
+    arrivals = np.concatenate([p[1] for p in pieces], axis=1)
+    t, s = t_law.rows(), s_law.rows()
+    assert x.shape == arrivals.shape == t.shape == s.shape == (rows, steps)
+    for r in range(rows):
+        assert np.array_equal(x[r], forward_oracle(x0, t[r], s[r])[1:]), name
+        np.testing.assert_allclose(arrivals[r], np.cumsum(t[r]), rtol=1e-12)
+
+
+def test_batched_paths_draw_whole_pieces(monkeypatch):
+    # sample calls grow with the number of (paths, block) pieces, not with
+    # the number of steps
+    calls = []
+    sample = Distribution.sample
+    monkeypatch.setattr(Distribution, "sample",
+                        lambda law, *a: calls.append(1) or sample(law, *a))
+    m = ModelSpec(Exponential(1.0), Exponential(1.0))
+    occupation_estimate(m, 0.0, 1.0, 5000, 4, Stream.from_seed(0))
+    assert len(calls) == 2 * 4  # four one-row chunks, one piece each
+    calls.clear()
+    tv_discrepancy(m, 1.0, 50, 10_000, Stream.from_seed(0))
+    assert len(calls) == 2 * 2 * 64  # two samples of 64 chunks
+    calls.clear()
+    params = find_params(m)
+    renewal_tests(m, params, 1000, 20_000, Stream.from_seed(0))
+    assert len(calls) < 2000  # stepping per step would make millions

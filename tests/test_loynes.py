@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from maxdater import ModelSpec, Stream
+from maxdater import ModelSpec, Stream, engine
 from maxdater.dists import (
     Deterministic,
     DiscreteUniform,
@@ -18,6 +18,7 @@ from maxdater.dists import (
 )
 from maxdater.loynes import (
     DivergenceSuspected,
+    _backward,
     backward_maxdater,
     stationary_batch,
     stationary_sample,
@@ -25,7 +26,7 @@ from maxdater.loynes import (
     tv_discrepancy,
 )
 
-from support import backward_oracle, enumerate_discrete_stationary
+from support import RecordingLaw, backward_oracle, enumerate_discrete_stationary
 
 DIVERGENT = ModelSpec(Pareto(0.8, 1.0), Pareto(0.5, 1.0))
 
@@ -187,3 +188,85 @@ def test_tv_bounded_by_coupling_probability():
     assert rep.tv_estimate <= rep.bound + rep.null_floor + 3 * rep.null_sd
     with pytest.raises(ValueError):
         tv_discrepancy(m, 1.0, 5, 100, Stream.from_seed(16))
+
+
+# ------------------------------------------------------- backward kernel
+
+UNBOUNDED = [ModelSpec(Exponential(1.0), Exponential(1.0)),
+             ModelSpec(Exponential(1.0), Pareto(2.5, 1.0)),
+             ModelSpec(Pareto(0.5, 1.0), Pareto(0.8, 1.0))]
+
+
+def _recorded_backward(m, rows, seed, horizon, **kw):
+    t_law, s_law = RecordingLaw(m.interarrival), RecordingLaw(m.service)
+    got = _backward(ModelSpec(t_law, s_law), rows, Stream.from_seed(seed), horizon, **kw)
+    return got, t_law.rows(), s_law.rows()
+
+
+@given(m=st.sampled_from(UNBOUNDED), rows=st.integers(1, 4),
+       horizon=st.integers(1, 40), block_elems=st.integers(1, 160),
+       seed=st.integers(0, 2**31))
+@settings(max_examples=150, deadline=None)
+def test_backward_kernel_rows_match_oracle(m, rows, horizon, block_elems, seed):
+    # small pieces split the horizon, the last one cut to it
+    grid = np.arange(1, horizon + 1)
+    old = engine._BLOCK_ELEMS
+    engine._BLOCK_ELEMS = block_elems
+    try:
+        (best, last_rec, tail_sums), t, s = _recorded_backward(
+            m, rows, seed, horizon, grid=grid)
+        one_piece = engine._block(rows, horizon) == horizon
+    finally:
+        engine._BLOCK_ELEMS = old
+    assert t.shape == s.shape == (rows, horizon)
+    sums = np.zeros(horizon)
+    for r in range(rows):
+        want = backward_oracle(s[r], t[r], horizon)
+        records = np.nonzero(np.diff(want, prepend=0.0) > 0)[0]
+        if one_piece:  # the same additions as the oracle
+            assert best[r] == want[-1]
+            assert last_rec[r] == (records[-1] + 1 if len(records) else 0)
+        else:
+            assert best[r] == pytest.approx(want[-1], rel=1e-12, abs=1e-12)
+        sums += m.service.tail(np.cumsum(t[r]))
+    np.testing.assert_allclose(tail_sums, sums, rtol=1e-9)
+
+
+@given(horizon=st.integers(1, 200), seed=st.integers(0, 2**31))
+@settings(max_examples=100, deadline=None)
+def test_backward_kernel_whole_blocks_stop_at_supremum(horizon, seed):
+    # one path in whole 16-wide blocks stops once its clock passes the
+    # service supremum 2; the draws it used give the oracle's value
+    m = ModelSpec(Exponential(1.0), Uniform(0.0, 2.0))
+    (best, _, _), t, s = _recorded_backward(m, 1, seed, horizon, s_up=2.0, block=16)
+    assert t.shape[1] % 16 == 0
+    used = min(horizon, t.shape[1])
+    assert used == horizon or np.sum(t[0, :used]) >= 2.0 - 1e-12
+    want = backward_oracle(s[0], t[0], used)[-1]
+    assert best[0] == want if used <= 16 else best[0] == pytest.approx(want, rel=1e-12)
+
+
+class _StubArrivals:
+    """Inter-arrival law that reports ``median`` but draws ``draw``."""
+
+    def __init__(self, median, draw):
+        self.median, self.draw = median, draw
+
+    def quantile(self, p):
+        return self.median
+
+    def sample(self, stream, size):
+        return np.full(size, self.draw)
+
+
+def test_absorbing_scan_bound_names_the_median():
+    with pytest.raises(ValueError, match="positive inter-arrival median"):
+        stationary_batch(ModelSpec(_StubArrivals(0.0, 1.0), Uniform(0.0, 8.0)),
+                         10, 10, Stream.from_seed(0))
+    with pytest.raises(RuntimeError, match="draws below its median 1.0 more often than half the time"):
+        stationary_batch(ModelSpec(_StubArrivals(1.0, 1e-9), Uniform(0.0, 8.0)),
+                         10, 10, Stream.from_seed(0))
+    # the same stub drawing at its median is absorbed well within the bound
+    batch = stationary_batch(ModelSpec(_StubArrivals(1.0, 1.0), Uniform(0.0, 8.0)),
+                             10, 10, Stream.from_seed(0))
+    assert batch.exact and np.all(batch.values <= 8.0)

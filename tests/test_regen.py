@@ -92,6 +92,17 @@ def test_acceptance_rate_meets_half():
         assert rate >= 0.5 - 3.0 * se, name
 
 
+def test_phi_rounds_bounded_by_gap_probability():
+    # a window whose gap never clears w0, against a p_gap that claims it
+    # does 9 times in 10
+    params = RegenParams(m0=1, w0=1e9, p_service=0.5, p_gap=0.9)
+    with pytest.raises(RuntimeError, match=r"P\(T_m0 > w0\) is below p_gap"):
+        _phi_batch(EXP_EXP, params, 100, Stream.from_seed(0))
+    with pytest.raises(ValueError, match="p_gap"):
+        _phi_batch(EXP_EXP, RegenParams(m0=1, w0=0.5, p_service=0.5, p_gap=0.0),
+                   100, Stream.from_seed(0))
+
+
 def test_phi_matches_conditioned_simulation():
     # oracle: simulate the window directly and condition by hand
     m = EXP_EXP
