@@ -118,6 +118,9 @@ class SeriesDiagnostic:
 
 @dataclass(frozen=True)
 class ClassifierConfig:
+    """Monte Carlo settings of ``classify``.  ``w0=None`` takes the lower
+    median of the service law, and ``y=None`` takes w0."""
+
     n_max: int = 100_000
     reps: int = 200
     thresholds: SeriesThresholds = SeriesThresholds()
@@ -418,16 +421,6 @@ def _det_inverse_tail(r: float, d1: float) -> ClassificationReport:
     )
 
 
-def _default_shifts(m: ModelSpec, cfg: ClassifierConfig):
-    if cfg.w0 is not None and cfg.y is not None:
-        return cfg.y, cfg.w0
-    from . import regen  # deferred: regen sits above classify in the layering
-    params = regen.find_params(m)
-    w0 = cfg.w0 if cfg.w0 is not None else params.w0
-    y = cfg.y if cfg.y is not None else w0
-    return y, w0
-
-
 def classify(m: ModelSpec, cfg: ClassifierConfig = None,
              stream: Stream = None) -> ClassificationReport:
     """Full classification: analytic phase rules first, Monte Carlo series
@@ -444,7 +437,8 @@ def classify(m: ModelSpec, cfg: ClassifierConfig = None,
     if stream is None:
         stream = Stream.from_seed(_DEFAULT_SEED)
 
-    y, w0 = _default_shifts(m, cfg)
+    w0 = cfg.w0 if cfg.w0 is not None else m.service.quantile(0.5)
+    y = cfg.y if cfg.y is not None else w0
     thr = cfg.thresholds
     kw = dict(thresholds=thr, threads=cfg.threads)
 

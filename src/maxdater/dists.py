@@ -7,6 +7,13 @@ first moment diverges), and the truncated mean E[min(Y, x)].  Sampling is
 always quantile inversion of a strict (0, 1) uniform, which keeps every
 sampler exact, reproducible, and monotone in the underlying uniform.
 
+``Distribution`` is the one boundary.  Its ``cdf``, ``tail``, ``quantile``
+and ``truncated_mean`` take scalars, lists or arrays and give a float for a
+scalar, evaluated as a one-element array; ``quantile`` rejects p outside
+(0, 1), NaN included, and ``laplace`` mu <= 0.  The laws implement only the
+``_`` kernels, which take float arrays of ndim >= 1 and check nothing.
+``sample`` trusts ``Stream.uniform_open`` to stay inside (0, 1).
+
 ``Mixture.quantile`` has no closed form and searches for the generalized
 inverse.  The component quantiles bracket it: every component cdf is below
 p just under min_i q_i(p) and at least p at max_i q_i(p), so the search
@@ -115,16 +122,10 @@ class TailClass:
     alpha: Optional[float] = None
 
 
-def _out(x):
-    x = np.asarray(x)
-    return float(x) if x.ndim == 0 else x
-
-
-def _check_prob(p) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if not np.all((p > 0.0) & (p < 1.0)):
-        raise ValueError("quantile defined for 0 < p < 1")
-    return p
+def _out(kernel, x):
+    """``kernel`` on the float array ``x``; a float for a 0-d x, which goes
+    in as one element (numpy scalar ``**`` rounds apart from arrays)."""
+    return float(kernel(x.reshape(1))[0]) if x.ndim == 0 else kernel(x)
 
 
 @dataclass(frozen=True)
@@ -147,25 +148,40 @@ class Distribution(ABC):
                 if problem:
                     raise ValueError(f"{name} {problem}")
 
-    @abstractmethod
     def cdf(self, x):
         """P(Y <= x)."""
+        return _out(self._cdf, np.asarray(x, dtype=float))
 
-    @abstractmethod
     def tail(self, x):
         """P(Y > x), computed from its own closed form."""
+        return _out(self._tail, np.asarray(x, dtype=float))
 
-    @abstractmethod
     def quantile(self, p):
         """inf{x : cdf(x) >= p} for p in (0, 1)."""
+        p = np.asarray(p, dtype=float)
+        if not np.all((p > 0.0) & (p < 1.0)):
+            raise ValueError("quantile defined for 0 < p < 1")
+        return _out(self._quantile, p)
+
+    def truncated_mean(self, x):
+        """E[min(Y, x)] = integral of the tail over [0, x]."""
+        return _out(self._truncated_mean, np.asarray(x, dtype=float))
+
+    @abstractmethod  # the kernels, unchecked, on arrays of ndim >= 1
+    def _cdf(self, x): ...
+
+    @abstractmethod
+    def _tail(self, x): ...
+
+    @abstractmethod
+    def _quantile(self, p): ...
+
+    @abstractmethod
+    def _truncated_mean(self, x): ...
 
     @abstractmethod
     def mean(self) -> float:
         """E[Y]; math.inf when the first moment diverges."""
-
-    @abstractmethod
-    def truncated_mean(self, x):
-        """E[min(Y, x)] = integral of the tail over [0, x]."""
 
     @abstractmethod
     def support(self) -> tuple[float, float]:
@@ -180,10 +196,13 @@ class Distribution(ABC):
         otherwise adaptive quadrature in quantile space."""
         if mu <= 0:
             raise ValueError("laplace transform evaluated for mu > 0")
+        return self._laplace(mu)
+
+    def _laplace(self, mu: float) -> float:
         from scipy import integrate
 
         val, err = integrate.quad(
-            lambda p: math.exp(-mu * float(self.quantile(p))), 0.0, 1.0,
+            lambda p: math.exp(-mu * self.quantile(p)), 0.0, 1.0,
             epsabs=1e-13, epsrel=1e-11, limit=200,
         )
         if err > 1e-9 * max(abs(val), 1e-12):
@@ -191,7 +210,7 @@ class Distribution(ABC):
         return val
 
     def sample(self, stream: Stream, size=None):
-        return self.quantile(stream.uniform_open(size))
+        return _out(self._quantile, stream.uniform_open(size))
 
     def _breakpoints(self) -> tuple[float, ...]:
         """Atoms and kink locations of the tail, for piecewise quadrature."""
@@ -202,24 +221,20 @@ class Distribution(ABC):
 class Exponential(Distribution, kind="exponential"):
     rate: float = _param(exclusive_minimum=0.0)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return _out(np.where(x <= 0, 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0))))
+    def _cdf(self, x):
+        return np.where(x <= 0, 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0)))
 
-    def tail(self, x):
-        x = np.asarray(x, dtype=float)
-        return _out(np.where(x <= 0, 1.0, np.exp(-self.rate * np.maximum(x, 0.0))))
+    def _tail(self, x):
+        return np.where(x <= 0, 1.0, np.exp(-self.rate * np.maximum(x, 0.0)))
 
-    def quantile(self, p):
-        p = _check_prob(p)
-        return _out(-np.log1p(-p) / self.rate)
+    def _quantile(self, p):
+        return -np.log1p(-p) / self.rate
 
     def mean(self) -> float:
         return 1.0 / self.rate
 
-    def truncated_mean(self, x):
-        x = np.asarray(x, dtype=float)
-        return _out(-np.expm1(-self.rate * np.maximum(x, 0.0)) / self.rate)
+    def _truncated_mean(self, x):
+        return -np.expm1(-self.rate * np.maximum(x, 0.0)) / self.rate
 
     def support(self):
         return (0.0, math.inf)
@@ -227,9 +242,7 @@ class Exponential(Distribution, kind="exponential"):
     def tail_class(self):
         return TailClass("light")
 
-    def laplace(self, mu: float) -> float:
-        if mu <= 0:
-            raise ValueError("laplace transform evaluated for mu > 0")
+    def _laplace(self, mu: float) -> float:
         return self.rate / (self.rate + mu)
 
 
@@ -237,24 +250,20 @@ class Exponential(Distribution, kind="exponential"):
 class Deterministic(Distribution, kind="deterministic"):
     value: float = _param(exclusive_minimum=0.0)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return _out(np.where(x >= self.value, 1.0, 0.0))
+    def _cdf(self, x):
+        return np.where(x >= self.value, 1.0, 0.0)
 
-    def tail(self, x):
-        x = np.asarray(x, dtype=float)
-        return _out(np.where(x >= self.value, 0.0, 1.0))
+    def _tail(self, x):
+        return np.where(x >= self.value, 0.0, 1.0)
 
-    def quantile(self, p):
-        p = _check_prob(p)
-        return _out(np.full_like(p, self.value))
+    def _quantile(self, p):
+        return np.full_like(p, self.value)
 
     def mean(self) -> float:
         return self.value
 
-    def truncated_mean(self, x):
-        x = np.asarray(x, dtype=float)
-        return _out(np.minimum(x, self.value))
+    def _truncated_mean(self, x):
+        return np.minimum(x, self.value)
 
     def support(self):
         return (self.value, self.value)
@@ -262,9 +271,7 @@ class Deterministic(Distribution, kind="deterministic"):
     def tail_class(self):
         return TailClass("bounded")
 
-    def laplace(self, mu: float) -> float:
-        if mu <= 0:
-            raise ValueError("laplace transform evaluated for mu > 0")
+    def _laplace(self, mu: float) -> float:
         return math.exp(-mu * self.value)
 
     def _breakpoints(self):
@@ -278,27 +285,23 @@ class Pareto(Distribution, kind="pareto"):
     alpha: float = _param(exclusive_minimum=0.0)
     scale: float = _param(exclusive_minimum=0.0)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _cdf(self, x):
         z = np.maximum(x, self.scale) / self.scale
-        return _out(np.where(x < self.scale, 0.0, 1.0 - z ** (-self.alpha)))
+        return np.where(x < self.scale, 0.0, 1.0 - z ** (-self.alpha))
 
-    def tail(self, x):
-        x = np.asarray(x, dtype=float)
+    def _tail(self, x):
         z = np.maximum(x, self.scale) / self.scale
-        return _out(np.where(x < self.scale, 1.0, z ** (-self.alpha)))
+        return np.where(x < self.scale, 1.0, z ** (-self.alpha))
 
-    def quantile(self, p):
-        p = _check_prob(p)
-        return _out(self.scale * (1.0 - p) ** (-1.0 / self.alpha))
+    def _quantile(self, p):
+        return self.scale * (1.0 - p) ** (-1.0 / self.alpha)
 
     def mean(self) -> float:
         if self.alpha <= 1.0:
             return math.inf
         return self.alpha * self.scale / (self.alpha - 1.0)
 
-    def truncated_mean(self, x):
-        x = np.asarray(x, dtype=float)
+    def _truncated_mean(self, x):
         z = np.maximum(x, self.scale)
         if self.alpha == 1.0:
             above = self.scale * (1.0 + np.log(z / self.scale))
@@ -306,7 +309,7 @@ class Pareto(Distribution, kind="pareto"):
             above = self.scale + (self.scale ** self.alpha) * (
                 z ** (1.0 - self.alpha) - self.scale ** (1.0 - self.alpha)
             ) / (1.0 - self.alpha)
-        return _out(np.where(x <= self.scale, np.minimum(x, self.scale), above))
+        return np.where(x <= self.scale, np.minimum(x, self.scale), above)
 
     def support(self):
         return (self.scale, math.inf)
@@ -334,29 +337,25 @@ class TruncatedParetoOne(Distribution, kind="truncated_pareto_one"):
         if self.x0 < self.d1:
             raise ValueError("x0 must be >= d1")
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _cdf(self, x):
         z = np.maximum(x, self.x0)
-        return _out(np.where(x < self.x0, 0.0, 1.0 - np.minimum(1.0, self.d1 / z)))
+        return np.where(x < self.x0, 0.0, 1.0 - np.minimum(1.0, self.d1 / z))
 
-    def tail(self, x):
-        x = np.asarray(x, dtype=float)
+    def _tail(self, x):
         z = np.maximum(x, self.x0)
-        return _out(np.where(x < self.x0, 1.0, np.minimum(1.0, self.d1 / z)))
+        return np.where(x < self.x0, 1.0, np.minimum(1.0, self.d1 / z))
 
-    def quantile(self, p):
-        p = _check_prob(p)
+    def _quantile(self, p):
         p_atom = 1.0 - self.d1 / self.x0  # cdf at the left endpoint
-        return _out(np.where(p <= p_atom, self.x0, self.d1 / np.maximum(1.0 - p, 1e-300)))
+        return np.where(p <= p_atom, self.x0, self.d1 / np.maximum(1.0 - p, 1e-300))
 
     def mean(self) -> float:
         return math.inf
 
-    def truncated_mean(self, x):
-        x = np.asarray(x, dtype=float)
+    def _truncated_mean(self, x):
         z = np.maximum(x, self.x0)
         above = self.x0 + self.d1 * np.log(z / self.x0)
-        return _out(np.where(x <= self.x0, np.minimum(x, self.x0), above))
+        return np.where(x <= self.x0, np.minimum(x, self.x0), above)
 
     def support(self):
         return (self.x0, math.inf)
@@ -378,30 +377,26 @@ class Uniform(Distribution, kind="uniform"):
         if not self.hi > self.lo:
             raise ValueError("hi must be > lo")
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return _out(np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0))
+    def _cdf(self, x):
+        return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
 
-    def tail(self, x):
-        x = np.asarray(x, dtype=float)
+    def _tail(self, x):
         inner = (self.hi - np.clip(x, self.lo, self.hi)) / (self.hi - self.lo)
-        return _out(np.where(x <= self.lo, 1.0, np.where(x >= self.hi, 0.0, inner)))
+        return np.where(x <= self.lo, 1.0, np.where(x >= self.hi, 0.0, inner))
 
-    def quantile(self, p):
-        p = _check_prob(p)
-        return _out(self.lo + p * (self.hi - self.lo))
+    def _quantile(self, p):
+        return self.lo + p * (self.hi - self.lo)
 
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    def truncated_mean(self, x):
-        x = np.asarray(x, dtype=float)
+    def _truncated_mean(self, x):
         xc = np.clip(x, self.lo, self.hi)
         mid = self.lo + (self.hi * (xc - self.lo) - 0.5 * (xc * xc - self.lo * self.lo)) / (
             self.hi - self.lo
         )
-        return _out(np.where(x <= self.lo, np.minimum(x, self.lo),
-                             np.where(x >= self.hi, self.mean(), mid)))
+        return np.where(x <= self.lo, np.minimum(x, self.lo),
+                        np.where(x >= self.hi, self.mean(), mid))
 
     def support(self):
         return (self.lo, self.hi)
@@ -409,9 +404,7 @@ class Uniform(Distribution, kind="uniform"):
     def tail_class(self):
         return TailClass("bounded")
 
-    def laplace(self, mu: float) -> float:
-        if mu <= 0:
-            raise ValueError("laplace transform evaluated for mu > 0")
+    def _laplace(self, mu: float) -> float:
         return (math.exp(-mu * self.lo) - math.exp(-mu * self.hi)) / (mu * (self.hi - self.lo))
 
     def _breakpoints(self):
@@ -433,30 +426,26 @@ class DiscreteUniform(Distribution, kind="discrete_uniform"):
     def _arr(self):
         return np.asarray(self.values)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _cdf(self, x):
         idx = np.searchsorted(self._arr(), x, side="right")
-        return _out(idx / len(self.values))
+        return idx / len(self.values)
 
-    def tail(self, x):
-        x = np.asarray(x, dtype=float)
+    def _tail(self, x):
         idx = np.searchsorted(self._arr(), x, side="right")
-        return _out((len(self.values) - idx) / len(self.values))
+        return (len(self.values) - idx) / len(self.values)
 
-    def quantile(self, p):
-        p = _check_prob(p)
+    def _quantile(self, p):
         n = len(self.values)
         cum = np.arange(1, n + 1) / n
         idx = np.searchsorted(cum, p, side="left")
-        return _out(self._arr()[np.minimum(idx, n - 1)])
+        return self._arr()[np.minimum(idx, n - 1)]
 
     def mean(self) -> float:
         return math.fsum(self.values) / len(self.values)
 
-    def truncated_mean(self, x):
-        x = np.asarray(x, dtype=float)
+    def _truncated_mean(self, x):
         v = self._arr()
-        return _out(np.minimum.outer(x, v).mean(axis=-1) if x.ndim else np.minimum(x, v).mean())
+        return np.minimum.outer(x, v).mean(axis=-1)
 
     def support(self):
         return (self.values[0], self.values[-1])
@@ -464,9 +453,7 @@ class DiscreteUniform(Distribution, kind="discrete_uniform"):
     def tail_class(self):
         return TailClass("bounded")
 
-    def laplace(self, mu: float) -> float:
-        if mu <= 0:
-            raise ValueError("laplace transform evaluated for mu > 0")
+    def _laplace(self, mu: float) -> float:
         return float(np.mean(np.exp(-mu * self._arr())))
 
     def _breakpoints(self):
@@ -507,16 +494,12 @@ class Mixture(Distribution, kind="mixture"):
     def _cdf(self, x):
         # the weighted component cdfs added left to right, as quantile
         # evaluates them
-        return sum(w * np.asarray(d.cdf(x)) for w, d in self.components)
+        return sum(w * d._cdf(x) for w, d in self.components)
 
-    def cdf(self, x):
-        return _out(self._cdf(np.asarray(x, dtype=float)))
+    def _tail(self, x):
+        return sum(w * d._tail(x) for w, d in self.components)
 
-    def tail(self, x):
-        x = np.asarray(x, dtype=float)
-        return _out(sum(w * np.asarray(d.tail(x)) for w, d in self.components))
-
-    def quantile(self, p):
+    def _quantile(self, p):
         """Exact generalized inverse: the least double q with cdf(q) >= p.
 
         Brackets q by the component quantiles, then closes the bracket to
@@ -525,7 +508,6 @@ class Mixture(Distribution, kind="mixture"):
         bracket is still open after ``_MAX_STEPS`` steps, which the step
         bound rules out for component laws on [0, inf].
         """
-        p = _check_prob(p)
         q = np.empty(p.shape)
         blocks = max(1, -(-p.size // _SEARCH_BLOCK))  # of near-equal length
         # An overflowed q_i = inf is a valid upper end, and a secant through
@@ -535,7 +517,7 @@ class Mixture(Distribution, kind="mixture"):
             for part, into in zip(np.array_split(p.ravel(), blocks),
                                   np.array_split(q.reshape(-1), blocks)):
                 self._invert(part, into)
-        return _out(q)
+        return q
 
     def _bracket(self, p):
         """Rows lo, hi, b, f(b), slope, p for the search: the bracket, its
@@ -544,7 +526,7 @@ class Mixture(Distribution, kind="mixture"):
         state = np.empty((6, p.size))
         lo, hi, b, fb, slope, _ = state
         state[5] = p
-        qs = (d.quantile(p) for _, d in self.components)
+        qs = (d._quantile(p) for _, d in self.components)
         lo[...] = hi[...] = next(qs)
         for q in qs:
             np.minimum(lo, q, out=lo)
@@ -644,9 +626,8 @@ class Mixture(Distribution, kind="mixture"):
             return math.inf
         return math.fsum(w * d.mean() for w, d in self.components)
 
-    def truncated_mean(self, x):
-        x = np.asarray(x, dtype=float)
-        return _out(sum(w * np.asarray(d.truncated_mean(x)) for w, d in self.components))
+    def _truncated_mean(self, x):
+        return sum(w * d._truncated_mean(x) for w, d in self.components)
 
     def support(self):
         los, his = zip(*(d.support() for _, d in self.components))
@@ -661,10 +642,8 @@ class Mixture(Distribution, kind="mixture"):
             return TailClass("light")
         return TailClass("bounded")
 
-    def laplace(self, mu: float) -> float:
-        if mu <= 0:
-            raise ValueError("laplace transform evaluated for mu > 0")
-        return math.fsum(w * d.laplace(mu) for w, d in self.components)
+    def _laplace(self, mu: float) -> float:
+        return math.fsum(w * d._laplace(mu) for w, d in self.components)
 
     def _breakpoints(self):
         pts: list[float] = []

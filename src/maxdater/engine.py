@@ -18,6 +18,7 @@ cumulative sum within the piece plus the epoch it carried in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -98,14 +99,25 @@ def lindley_step(w: float, s: float, t: float) -> float:
 
 def driving_draws(m: ModelSpec, n_t: int, n_s: int, stream: Stream):
     """Inter-arrival block then service block, in that order."""
-    t = m.interarrival.sample(stream, n_t)
-    s = m.service.sample(stream, n_s)
-    return np.atleast_1d(t), np.atleast_1d(s)
+    return m.interarrival.sample(stream, n_t), m.service.sample(stream, n_s)
 
 
 def _block(rows: int, steps: int) -> int:
     """Width of (rows, block) pieces of at most ``_BLOCK_ELEMS`` draws."""
     return max(1, min(steps, _BLOCK_ELEMS // max(rows, 1)))
+
+
+def _passing_steps(m: ModelSpec, level: float, rows: int, who: str, what: str):
+    """(N, median): after N steps, ``rows`` sums of inter-arrival draws all
+    exceed ``level`` but with probability 1e-12.  More than k = ceil(level /
+    median) draws of at least the median exceed it, a step draws one w.p.
+    >= 1/2, so by Hoeffding N = 4 (k + ln(rows * 1e12)) steps draw at most k
+    w.p. <= 1e-12 / rows.  ``who`` and ``what`` name caller and level."""
+    median = float(m.interarrival.quantile(0.5))
+    if not median > 0.0:
+        raise ValueError(f"{who} needs a positive inter-arrival median "
+                         f"to pass {what} {level}, got {median}")
+    return 4 * (math.ceil(level / median) + math.ceil(math.log(rows * 1e12))), median
 
 
 def _epochs(t: np.ndarray, offset: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import _BLOCK_ELEMS, ModelSpec, _block, _endpoints, _epochs
+from .engine import _BLOCK_ELEMS, ModelSpec, _block, _endpoints, _epochs, _passing_steps
 from .streams import Stream, run_chunked
 
 __all__ = [
@@ -180,14 +180,8 @@ def _backward(m: ModelSpec, rows: int, stream: Stream, horizon: float, *,
     """
     absorb = math.isinf(horizon)
     if absorb:
-        # k = ceil(s_up / median) draws of at least the inter-arrival median
-        # pass s_up, a step draws one with probability >= 1/2, so by Hoeffding
-        # N = 4 (k + ln(rows * 1e12)) steps fall short w.p. <= 1e-12 / rows
-        median = float(m.interarrival.quantile(0.5))
-        if not median > 0.0:
-            raise ValueError(f"the absorbing scan needs a positive inter-arrival "
-                             f"median to pass the service supremum {s_up}, got {median}")
-        horizon = 4 * (math.ceil(s_up / median) + math.ceil(math.log(rows * 1e12)))
+        horizon, median = _passing_steps(m, s_up, rows, "the absorbing scan",
+                                         "the service supremum")
     tail_sums = np.zeros(0 if grid is None else len(grid))
     # the running rows' state, compacted when rows stop
     ids, best, offset = np.arange(rows), np.zeros(rows), np.zeros(rows)
@@ -326,17 +320,16 @@ def stationary_window(
     if width < 2 or back_horizon < 1:
         raise ValueError("need width >= 2 and back_horizon >= 1")
     total = width + back_horizon
-    t = np.atleast_1d(m.interarrival.sample(stream, total))
-    s = np.atleast_1d(m.service.sample(stream, total))
+    t = m.interarrival.sample(stream, total)
+    s = m.service.sample(stream, total)
     x = s[:width].copy()
     chain = s[:width].copy()
     last_rec = np.zeros(width, dtype=np.int64)
-    idx0 = np.arange(width)
     for k in range(1, back_horizon + 1):
-        tk = t[idx0 + k]
+        tk = t[k:k + width]
         np.subtract(chain, tk, out=chain)
         drained = x - tk
-        cand = s[idx0 + k]
+        cand = s[k:k + width]
         last_rec[cand > drained] = k
         x = np.maximum(drained, cand)
     coupled = chain <= 0.0

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .dists import Deterministic
-from .engine import ModelSpec, PathSample, _endpoints, _forward
+from .engine import ModelSpec, PathSample, _endpoints, _forward, _passing_steps
 from .streams import Stream, run_chunked
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
 
 _PARAM_SEED = 715517  # find_params draws from a fixed stream: params are
                       # model properties, not experiment randomness
+_PARAM_DRAWS = 100_000  # sums of inter-arrival draws find_params tracks
 
 
 @dataclass(frozen=True)
@@ -67,13 +68,14 @@ class RenewalSummary:
     m0: int
 
 
-def find_params(m: ModelSpec, *, draws: int = 100_000) -> RegenParams:
+def find_params(m: ModelSpec) -> RegenParams:
     """Smallest w0 with P(s <= w0) >= 1/2 (the lower median), then the
     smallest m0 with P(T_m0 > w0) >= 1/2.
 
     m0 is exact for deterministic arrivals; otherwise it comes from a
     fixed-seed Monte Carlo estimate with a three-standard-error margin,
-    so the inequality holds with slack rather than borderline.
+    so the inequality holds with slack rather than borderline, and gives
+    up where all its sums would pass w0 but w.p. 1e-12 (``_passing_steps``).
     """
     w0 = float(m.service.quantile(0.5))
     p_service = float(m.service.cdf(w0))
@@ -85,15 +87,17 @@ def find_params(m: ModelSpec, *, draws: int = 100_000) -> RegenParams:
         if m0 * r <= w0:  # floor landed on the boundary
             m0 += 1
         return RegenParams(m0=m0, w0=w0, p_service=p_service, p_gap=1.0)
+    steps, median = _passing_steps(m, w0, _PARAM_DRAWS, "find_params", "w0")
     stream = Stream.from_seed(_PARAM_SEED)
-    total = np.zeros(draws)
-    for m0 in range(1, 100_000):
-        total += m.interarrival.sample(stream, draws)
+    total = np.zeros(_PARAM_DRAWS)
+    for m0 in range(1, steps + 1):
+        total += m.interarrival.sample(stream, _PARAM_DRAWS)
         p = float(np.mean(total > w0))
-        se = math.sqrt(max(p * (1.0 - p), 1e-12) / draws)
+        se = math.sqrt(max(p * (1.0 - p), 1e-12) / _PARAM_DRAWS)
         if p - 3.0 * se >= 0.5:
             return RegenParams(m0=m0, w0=w0, p_service=p_service, p_gap=p)
-    raise RuntimeError("no window length reached the gap-probability target")
+    raise RuntimeError(f"no window length up to {steps} reached P(T_m0 > w0) >= 1/2: inter-arrivals"
+                       f" draw below their median {median} more often than half the time")
 
 
 def _phi_batch(m: ModelSpec, params: RegenParams, count: int,

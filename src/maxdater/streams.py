@@ -71,20 +71,14 @@ class Stream:
         return f"Stream(entropy={self._seq.entropy}, path={tuple(self._seq.spawn_key)})"
 
 
-def chunk_plan(total: int, n_chunks: int = N_CHUNKS) -> list[tuple[int, int]]:
-    """Split ``total`` replications into at most ``n_chunks`` (start, count)
+def chunk_plan(total: int) -> list[tuple[int, int]]:
+    """Split ``total`` replications into at most ``N_CHUNKS`` (start, count)
     blocks.  The plan depends only on ``total``, never on thread count."""
     if total <= 0:
         return []
-    n = min(n_chunks, total)
+    n = min(N_CHUNKS, total)
     base, rem = divmod(total, n)
-    plan = []
-    start = 0
-    for i in range(n):
-        count = base + (1 if i < rem else 0)
-        plan.append((start, count))
-        start += count
-    return plan
+    return [(i * base + min(i, rem), base + (i < rem)) for i in range(n)]
 
 
 def run_chunked(
@@ -92,14 +86,13 @@ def run_chunked(
     total: int,
     stream: Stream,
     threads: int = 1,
-    n_chunks: int = N_CHUNKS,
 ) -> list[_T]:
     """Run ``worker(chunk_stream, start, count)`` over a fixed chunk plan.
 
     Chunk i always gets ``stream.child(i)``; results come back in chunk
     order.  ``threads`` only controls how many chunks run concurrently.
     """
-    plan = chunk_plan(total, n_chunks)
+    plan = chunk_plan(total)
     streams = [stream.child(i) for i in range(len(plan))]
     if threads <= 1 or len(plan) <= 1:
         return [worker(st, start, count) for st, (start, count) in zip(streams, plan)]

@@ -328,3 +328,18 @@ def test_compare_divergent_phases():
     assert inf_rep.verdict is Verdict.TRANSIENT
     assert single.walk_verdict is WalkVerdict.DRIFT_PLUS
     assert "infinite" in text
+
+
+def test_classify_reads_w0_from_the_service_median(monkeypatch):
+    from maxdater import regen
+
+    def no_regen(m):
+        raise AssertionError("classify must not run the regeneration search")
+
+    monkeypatch.setattr(regen, "find_params", no_regen)
+    m = ModelSpec(Exponential(1.0), Mixture(((0.5, Pareto(0.5, 1.0)), (0.5, Uniform(0.0, 2.0)))))
+    assert analytic_phase(m) is None  # the Monte Carlo route
+    report = classify(m, ClassifierConfig(n_max=1000, reps=100), Stream.from_seed(3))
+    params = {d.kind.value: d.params for d in report.diagnostics}
+    assert params["recurrence"]["w0"] == m.service.quantile(0.5)
+    assert params["transience"]["y"] == m.service.quantile(0.5)

@@ -306,12 +306,13 @@ def test_mixture_quantile_cdf_evaluations(monkeypatch):
     # elementwise cdf evaluations per draw (the 200-step bisection it
     # replaced made about 66)
     sizes = []
-    cdf = Exponential.cdf
-    monkeypatch.setattr(Exponential, "cdf", lambda self, x: sizes.append(np.size(x)) or cdf(self, x))
+    cdf = Exponential._cdf
+    monkeypatch.setattr(Exponential, "_cdf", lambda self, x: sizes.append(np.size(x)) or cdf(self, x))
     n = 1 << 16
     m = Mixture(((0.7, Exponential(1.5)), (0.3, Pareto(1.5, 0.5))))
     u = Stream.from_seed(1, 2).uniform_open(n)
     m.quantile(u)
+    assert sizes, "the patched cdf saw no evaluations"
     assert sum(sizes) / n <= 16
     # within one search block, two evaluations bracket the root and each
     # step makes one more, which the slowest draw is part of
@@ -336,3 +337,36 @@ def test_mixture_weights_reach_one():
     assert Mixture(m.components) == m
     kept = Mixture(((0.7, Exponential(1.5)), (0.3, Pareto(1.5, 0.5))))
     assert [w for w, _ in kept.components] == [0.7, 0.3]
+
+
+_ATOM_MIXTURE = Mixture(((0.4, Deterministic(1.5)), (0.6, Pareto(0.7, 1.0))))
+
+
+def test_boundary_covers_every_law():
+    assert {type(d) for d in CATALOGUE} == set(dists.CATALOGUE.values())
+
+
+@pytest.mark.parametrize("d", CATALOGUE + [_ATOM_MIXTURE],
+                         ids=lambda d: type(d).__name__ + repr(d)[:30])
+def test_public_boundary(d):
+    # a scalar gets exactly what a one-element array or list gets, as a
+    # Python float (numpy's scalar ** rounds apart from its array loop)
+    rng = np.random.default_rng(8)
+    lo, hi = d.support()
+    xs = np.concatenate([[0.0, lo, min(hi, 1e3)], rng.uniform(0.0, min(hi, 50.0) + 1.0, 60)])
+    ps = np.concatenate([[2.0 ** -54, 0.5, 1.0 - 2.0 ** -53], rng.uniform(0.0, 1.0, 60)])
+    for method, args in ((d.cdf, xs), (d.tail, xs), (d.truncated_mean, xs), (d.quantile, ps)):
+        for a in args.tolist():
+            y = method(a)
+            assert type(y) is float
+            assert y == method(np.array([a]))[0] == method([a])[0]
+    for bad in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError):
+            d.quantile(bad)
+        with pytest.raises(ValueError):
+            d.quantile(np.array([0.5, bad]))
+    for seed in range(40):
+        y = d.sample(Stream.from_seed(seed, 4), None)
+        assert type(y) is float
+        assert y == d.sample(Stream.from_seed(seed, 4), 1)[0]
+    assert d.sample(Stream.from_seed(0), 0).shape == (0,)

@@ -13,6 +13,7 @@ from maxdater.dists import (
     Exponential,
     Pareto,
     TruncatedParetoOne,
+    Uniform,
 )
 from maxdater.engine import simulate_path
 from maxdater.regen import (
@@ -62,6 +63,30 @@ def test_params_meet_probability_floors():
         assert p.p_service >= 0.5, name
         assert p.p_gap >= 0.5, name
         assert m.service.cdf(p.w0) >= 0.5 - 1e-12, name
+
+
+class _StubArrivals:
+    """Inter-arrival law that reports ``median`` but draws ``draw``."""
+
+    def __init__(self, median, draw):
+        self.median, self.draw = median, draw
+
+    def quantile(self, p):
+        return self.median
+
+    def sample(self, stream, size):
+        return np.full(size, self.draw)
+
+
+def test_find_params_window_bound_names_the_median():
+    # w0 = 4 and median 1 bound the search at 4 (4 + ceil(ln(1e5 * 1e12)))
+    # = 176 windows; draws of 1e-9 never reach w0
+    with pytest.raises(RuntimeError, match="up to 176 .* below their median 1.0"):
+        find_params(ModelSpec(_StubArrivals(1.0, 1e-9), Uniform(0.0, 8.0)))
+    with pytest.raises(ValueError, match="positive inter-arrival median"):
+        find_params(ModelSpec(_StubArrivals(0.0, 1.0), Uniform(0.0, 8.0)))
+    # drawing at its median the stub passes w0 = 4 after 5 draws
+    assert find_params(ModelSpec(_StubArrivals(1.0, 1.0), Uniform(0.0, 8.0))).m0 == 5
 
 
 def test_find_params_repeatable():

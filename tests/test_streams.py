@@ -4,6 +4,7 @@ import numpy as np
 
 from maxdater import Stream
 from maxdater.dists import Exponential
+from maxdater.streams import N_CHUNKS, chunk_plan
 
 
 class _TopGenerator:
@@ -32,3 +33,14 @@ def test_uniform_open_other_draws_unchanged():
     u = Stream.from_seed(7, 3).uniform_open(100_000)
     assert np.array_equal(u, (k + 0.5) * 2.0 ** -53)
     assert np.all((u > 0.0) & (u < 1.0))
+
+
+def test_chunk_plan_tiles_the_replications():
+    assert chunk_plan(0) == []
+    for total in (1, 63, 64, 65, 1000, 12_345):
+        plan = chunk_plan(total)
+        assert len(plan) == min(total, N_CHUNKS)
+        assert [start for start, _ in plan] == list(np.cumsum([0] + [c for _, c in plan])[:-1])
+        counts = [c for _, c in plan]
+        assert sum(counts) == total and max(counts) - min(counts) <= 1
+        assert counts == sorted(counts, reverse=True)
