@@ -3,16 +3,25 @@
 Each law carries exact closed forms for the cdf, the upper tail (computed
 directly, not as 1 - cdf, so extreme tails keep full precision), the
 left-continuous generalized inverse cdf, the mean (``math.inf`` when the
-first moment diverges), and the truncated mean E[min(Y, x)].  Sampling is
-always quantile inversion of a strict (0, 1) uniform, which keeps every
-sampler exact, reproducible, and monotone in the underlying uniform.
+first moment diverges), and the truncated mean E[min(Y, x)].  Every law but
+``Mixture`` samples by quantile inversion of a strict (0, 1) uniform, which
+keeps its sampler exact, reproducible, and monotone in the underlying
+uniform.  A ``Mixture`` samples by composition (Devroye 1986, *Non-Uniform
+Random Variate Generation*, II.4): a first uniform picks the component by
+weight and a second is inverted by that component's closed-form quantile.
+Its inverse has no closed form, and composition draws the same law at the
+cost of one more uniform instead of a search per draw, with each
+component's tail at full 53-bit resolution.  Its draws are therefore
+monotone in neither uniform.
 
 ``Distribution`` is the one boundary.  Its ``cdf``, ``tail``, ``quantile``
 and ``truncated_mean`` take scalars, lists or arrays and give a float for a
 scalar, evaluated as a one-element array; ``quantile`` rejects p outside
 (0, 1), NaN included, and ``laplace`` mu <= 0.  The laws implement only the
 ``_`` kernels, which take float arrays of ndim >= 1 and check nothing.
-``sample`` trusts ``Stream.uniform_open`` to stay inside (0, 1).
+``sample`` trusts ``Stream.uniform_open`` to stay inside (0, 1) and hands
+the law's ``_sample`` kernel a size, so a scalar draw is the first of a
+one-element draw.
 
 ``Mixture.quantile`` has no closed form and searches for the generalized
 inverse.  The component quantiles bracket it: every component cdf is below
@@ -28,6 +37,10 @@ search stops at adjacent doubles and returns the upper one: the least
 double q with cdf(q) >= p, exactly, for any monotone cdf.  At least every
 other step halves the bracket's width in bit patterns, which starts below
 2**63, so at most 2 * 63 steps follow the two cdf evaluations at the ends.
+Before any search, each p is probed against the cdf's jumps: a breakpoint a
+with cdf(prev_float(a)) < p <= cdf(a) is the root, exactly.  This settles
+every p on a mixture of atoms, whose flat cdf gives the secant nothing to
+go on.
 
 ``truncated_mean_by_quadrature`` integrates the tail numerically and is
 kept as an independent route against the closed forms.
@@ -40,6 +53,7 @@ command line reads the same fields to parse, check and echo every law.
 
 from __future__ import annotations
 
+import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, fields
@@ -71,8 +85,7 @@ __all__ = [
 _NUDGE_ULPS = 4
 
 # Mixture.quantile searches at most this many draws at a time.  Its working
-# arrays take about 140 bytes a draw, so a block stays near the memory the
-# bisection it replaced took for the 20,000-draw calls of classify, while
+# arrays take about 140 bytes a draw, so a block holds about 2 MB, while
 # numpy's fixed cost per call is already spread thin.
 _SEARCH_BLOCK = 1 << 14
 
@@ -210,7 +223,15 @@ class Distribution(ABC):
         return val
 
     def sample(self, stream: Stream, size=None):
-        return _out(self._quantile, stream.uniform_open(size))
+        """Draws of shape ``size``; a float for size None, the first of a
+        one-element draw."""
+        if size is None:
+            return float(self._sample(stream, 1)[0])
+        return self._sample(stream, size)
+
+    def _sample(self, stream, size):
+        """The sampling kernel: inversion of one uniform piece."""
+        return self._quantile(stream.uniform_open(size))
 
     def _breakpoints(self) -> tuple[float, ...]:
         """Atoms and kink locations of the tail, for piecewise quadrature."""
@@ -499,25 +520,81 @@ class Mixture(Distribution, kind="mixture"):
     def _tail(self, x):
         return sum(w * d._tail(x) for w, d in self.components)
 
+    def _sample(self, stream, size):
+        """Composition: a piece of picks, then a value piece of the same
+        shape, always in that order."""
+        pick = stream.uniform_open(size)
+        return self._compose(pick, stream.uniform_open(size))
+
+    def _compose(self, pick, u):
+        """Draws at the uniforms ``u``, each by the component that ``pick``
+        selects: the first whose cumulative weight is >= pick.  A nested
+        mixture picks again with what is left of pick, rescaled to (0, 1],
+        so every draw takes one pick and one value uniform."""
+        shape, pick, u = u.shape, pick.ravel(), u.ravel()
+        # the weights added left to right, as _cdf adds them, so the last is
+        # exactly 1 (see __post_init__)
+        top = np.array(list(itertools.accumulate(w for w, _ in self.components)))
+        # the count of cumulative weights below pick, which is searchsorted's
+        # index and, for being taken over all but the last, at most the last
+        # component's (a compare per weight beats a binary search per draw)
+        idx = np.zeros(pick.size, dtype=np.intp)
+        for c in top[:-1]:
+            idx += pick > c
+        out = np.empty(u.size)
+        for i, (w, d) in enumerate(self.components):
+            at = np.flatnonzero(idx == i)  # gathers by index beat a mask's
+            if isinstance(d, Mixture):
+                # pick is above the cumulative weight before i; rounding can
+                # take the rescaled rest just past 1, which the guard absorbs
+                rest = (pick[at] - (top[i - 1] if i else 0.0)) / w
+                out[at] = d._compose(rest, u[at])
+            else:
+                out[at] = d._quantile(u[at])
+        return out.reshape(shape)
+
+    def _jumps(self):
+        """(a, cdf(prev_float(a)), cdf(a)) at the breakpoints a where the
+        cdf jumps, ascending; their (cdf(prev_float(a)), cdf(a)] are
+        disjoint and ascending too.  The left limits end in an extra +inf,
+        which stands below no p, for p above every jump."""
+        a = np.array(self._breakpoints(), dtype=float)
+        below, at = self._cdf(np.nextafter(a, 0.0)), self._cdf(a)
+        jump = at > below
+        return a[jump], np.append(below[jump], np.inf), at[jump]
+
     def _quantile(self, p):
         """Exact generalized inverse: the least double q with cdf(q) >= p.
 
-        Brackets q by the component quantiles, then closes the bracket to
+        Settles p in a jump (cdf(prev_float(a)), cdf(a)] at a, then brackets
+        each other q by the component quantiles and closes the bracket to
         adjacent doubles with a guarded secant and bisection on the int64
         bit pattern; see the module docstring.  Raises RuntimeError if the
         bracket is still open after ``_MAX_STEPS`` steps, which the step
         bound rules out for component laws on [0, inf].
         """
-        q = np.empty(p.shape)
-        blocks = max(1, -(-p.size // _SEARCH_BLOCK))  # of near-equal length
-        # An overflowed q_i = inf is a valid upper end, and a secant through
-        # equal cdf values or an infinite end is not finite, which the
-        # bracket test then rejects.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for part, into in zip(np.array_split(p.ravel(), blocks),
-                                  np.array_split(q.reshape(-1), blocks)):
-                self._invert(part, into)
-        return q
+        shape, p = p.shape, p.ravel()
+        q = np.empty(p.size)
+        todo = slice(None)
+        a, below, at = self._jumps()
+        if a.size:
+            k = np.searchsorted(at, p)  # the first jump with cdf(a) >= p
+            hit = below[k] < p
+            if hit.any():
+                q[hit] = a[k[hit]]
+                todo = np.flatnonzero(~hit)
+        p_open, q_open = p[todo], q[todo]  # views when nothing was settled
+        if p_open.size:
+            blocks = -(-p_open.size // _SEARCH_BLOCK)  # of near-equal length
+            # An overflowed q_i = inf is a valid upper end, and a secant
+            # through equal cdf values or an infinite end is not finite,
+            # which the bracket test then rejects.
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                for part, into in zip(np.array_split(p_open, blocks),
+                                      np.array_split(q_open, blocks)):
+                    self._invert(part, into)
+            q[todo] = q_open
+        return q.reshape(shape)
 
     def _bracket(self, p):
         """Rows lo, hi, b, f(b), slope, p for the search: the bracket, its

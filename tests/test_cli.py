@@ -282,6 +282,36 @@ def test_thread_count_absent_from_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_mixture_models_byte_identical_across_threads(tmp_path):
+    # mixtures draw two uniform pieces per call (pick, then value); reports
+    # must still not depend on the thread count
+    mixture = {"kind": "mixture", "components": [
+        {"weight": 0.7, "dist": {"kind": "exponential", "rate": 1.5}},
+        {"weight": 0.3, "dist": {"kind": "pareto", "alpha": 1.5, "scale": 0.5}}]}
+    atoms = {"kind": "mixture", "components": [
+        {"weight": 0.4, "dist": {"kind": "deterministic", "value": 0.5}},
+        {"weight": 0.6, "dist": {"kind": "mixture", "components": [
+            {"weight": 0.5, "dist": {"kind": "uniform", "lo": 0.0, "hi": 1.0}},
+            {"weight": 0.5, "dist": {"kind": "discrete_uniform", "support": [1.0, 2.0]}}]}}]}
+    bodies = {
+        "classify": {"model": {"interarrival": mixture,
+                               "service": {"kind": "pareto", "alpha": 0.8, "scale": 1.0}},
+                     "classify": {"n_max": 2000, "reps": 100}},
+        "stationary": {"model": {"interarrival": {"kind": "exponential", "rate": 1.0},
+                                 "service": atoms},
+                       "stationary": {"horizon": 100, "reps": 512}},
+    }
+    for command, body in bodies.items():
+        cfg = write_config(tmp_path, body, f"{command}.json")
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{command}.{threads}.json"
+            assert run([command, "--config", cfg, "--threads", threads,
+                        "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1], command
+
+
 def test_seed_changes_output(tmp_path):
     cfg = write_config(tmp_path, {"model": EXP_EXP,
                                   "stationary": {"horizon": 50, "reps": 200}})

@@ -22,7 +22,12 @@ from maxdater.dists import (
     truncated_mean_by_quadrature,
 )
 
-from support import generalized_inverse_oracle, integrate_against, truncated_mean_oracle
+from support import (
+    _density_pieces,
+    generalized_inverse_oracle,
+    integrate_against,
+    truncated_mean_oracle,
+)
 
 CATALOGUE = [
     Exponential(1.0),
@@ -340,6 +345,167 @@ def test_mixture_weights_reach_one():
 
 
 _ATOM_MIXTURE = Mixture(((0.4, Deterministic(1.5)), (0.6, Pareto(0.7, 1.0))))
+
+_ATOMS_ONLY = Mixture(((0.5, Deterministic(1.0)), (0.5, Deterministic(3.0))))
+
+
+def _atoms(d):
+    """{atom: mass} by the test oracle's decomposition of the law, with
+    atoms that several components put at one point merged."""
+    atoms = {}
+    for x, mass in _density_pieces(d)[0]:
+        atoms[x] = atoms.get(x, 0.0) + mass
+    return atoms
+
+
+@pytest.mark.parametrize("m", [
+    _ATOMS_ONLY,
+    Mixture(((0.3, DiscreteUniform((1.0, 2.0, 2.0))), (0.7, TruncatedParetoOne(1.0, 2.0)))),
+    Mixture(((0.2, Deterministic(0.5)), (0.8, Mixture(((0.5, Deterministic(0.5)),
+                                                         (0.5, Deterministic(7.0))))))),
+    _ATOM_MIXTURE,
+    Mixture(((0.25, Uniform(0.0, 2.0)), (0.25, DiscreteUniform((1.0, 2.0, 3.0))),
+             (0.5, Exponential(1.0)))),
+], ids=["two_atoms", "du_tpo", "nested_atoms", "atom_pareto", "atoms_continuous"])
+def test_mixture_quantile_settles_atoms_exactly(m):
+    # p at the cdf's value at each atom, at its left limit, and one ulp
+    # either side of both: each is the root's own jump or just outside it
+    ps = []
+    for a in _atoms(m):
+        for c in (m.cdf(a), m.cdf(np.nextafter(a, 0.0))):
+            ps += [np.nextafter(c, 0.0), c, np.nextafter(c, 1.0)]
+    ps = np.array([p for p in ps if 0.0 < p < 1.0])
+    assert ps.size
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        qs = m.quantile(ps)
+    want = np.array([generalized_inverse_oracle(m, p) for p in ps])
+    assert np.array_equal(qs.view(np.int64), want.view(np.int64))
+    assert set(qs) >= set(_atoms(m))
+
+
+def test_mixture_quantile_atoms_cost_no_search(monkeypatch):
+    # timing-free guard: on a mixture of atoms every p falls in a jump, so
+    # the elementwise cdf evaluations are the jumps' own, whatever the
+    # number of draws (a bisection made about 53 per draw)
+    sizes = []
+    cdf = Deterministic._cdf
+    monkeypatch.setattr(Deterministic, "_cdf",
+                        lambda self, x: sizes.append(np.size(x)) or cdf(self, x))
+    u = Stream.from_seed(1, 6).uniform_open(1 << 16)
+    evaluations = []
+    for n in (16, 1 << 12, 1 << 16):
+        sizes.clear()
+        q = _ATOMS_ONLY.quantile(u[:n])
+        evaluations.append(sum(sizes))
+        assert np.array_equal(q, np.where(u[:n] <= 0.5, 1.0, 3.0))
+    assert evaluations[0] > 0
+    assert evaluations == evaluations[:1] * 3
+
+
+# Mixtures of every catalogue kind, for the composition sampler: atoms of
+# several components at one point (DiscreteUniform and TruncatedParetoOne at
+# 3), weights whose left-to-right sum is not 1, and nested mixtures.
+_SAMPLED_MIXTURES = {
+    "every_kind": Mixture((
+        (0.15, Exponential(1.0)),
+        (0.15, Pareto(1.5, 2.0)),
+        (0.1, Uniform(0.5, 4.0)),
+        (0.1, Deterministic(2.5)),
+        (0.15, DiscreteUniform((1.0, 2.0, 3.0))),
+        (0.15, TruncatedParetoOne(1.0, 3.0)),
+        (0.2, Mixture(((0.5, Deterministic(5.0)), (0.5, Exponential(0.5))))),
+    )),
+    "two_atoms": _ATOMS_ONLY,
+    "tenths": Mixture(tuple((0.1, Deterministic(1.0 + i)) for i in range(10))),
+    "deep": Mixture((
+        (0.3, Mixture(((0.6, Uniform(0.0, 1.0)),
+                       (0.4, Mixture(((0.5, Deterministic(0.25)), (0.5, Pareto(0.7, 1.0)))))))),
+        (0.7, DiscreteUniform((2.0, 2.0, 5.0))),
+    )),
+    "benchmark": Mixture(((0.7, Exponential(1.5)), (0.3, Pareto(1.5, 0.5)))),
+}
+
+
+@pytest.mark.parametrize("seed, name", enumerate(_SAMPLED_MIXTURES))
+def test_mixture_sample_law(seed, name):
+    # chi-square of the draws at each atom, and of the rest, against the
+    # masses of the oracle's decomposition; KS of the rest against the
+    # continuous part of Mixture.cdf
+    m = _SAMPLED_MIXTURES[name]
+    n = 200_000
+    vals = m.sample(Stream.from_seed(seed, 9), n)
+    atoms = _atoms(m)
+    xs = np.array(sorted(atoms))
+    masses = np.array([atoms[x] for x in xs])
+    at_atom = np.isin(vals, xs)
+    counts = [np.count_nonzero(vals == x) for x in xs]
+    rest_mass = 1.0 - masses.sum()
+    if rest_mass > 1e-12:
+        counts.append(n - np.count_nonzero(at_atom))
+        masses = np.append(masses, rest_mass)
+    else:
+        assert np.all(at_atom)
+    if len(counts) > 1:
+        expected = n * masses / masses.sum()
+        assert stats.chisquare(counts, expected).pvalue > 1e-3
+    if rest_mass > 1e-12:
+        # the atom mass at or below x, taken off the cdf
+        mass_to = np.concatenate([[0.0], np.cumsum(masses[:xs.size])])
+
+        def continuous_cdf(x):
+            return (m.cdf(x) - mass_to[np.searchsorted(xs, x, side="right")]) / rest_mass
+
+        assert stats.kstest(vals[~at_atom], continuous_cdf).pvalue > 1e-3
+
+
+def test_mixture_sample_makes_no_cdf_call_and_two_draws_each(monkeypatch):
+    # timing-free guard on composition: no cdf anywhere (the search made
+    # about 14 evaluations a draw), one pick and one value uniform per draw
+    calls = []
+    for law in dists.CATALOGUE.values():
+        monkeypatch.setattr(law, "_cdf", lambda self, x: calls.append(type(self)))
+    draws = []
+    uniform_open = Stream.uniform_open
+    monkeypatch.setattr(Stream, "uniform_open",
+                        lambda self, size=None: draws.append(np.size(uniform_open(self, size)))
+                        or uniform_open(self, size))
+    st = Stream.from_seed(3)
+    for m in _SAMPLED_MIXTURES.values():
+        for size in (None, 0, 1, 1000, (3, 700)):
+            draws.clear()
+            m.sample(st, size)
+            assert draws == [1 if size is None else int(np.prod(size))] * 2
+    assert calls == []
+
+
+def test_mixture_sample_picks_by_the_cdf_weights():
+    # the pick piece selects the first component whose left-to-right
+    # cumulative weight is >= pick, the cdf's own steps; the top uniform
+    # picks the last component, also through a nested mixture
+    m = _SAMPLED_MIXTURES["tenths"]
+    steps = np.array([m.cdf(1.0 + i) for i in range(10)])
+    assert steps[-1] == 1.0
+    top = 1.0 - 2.0 ** -53
+    picks = np.concatenate([steps[:-1], np.nextafter(steps[:-1], 1.0), [top]])
+    got = m._compose(picks, np.full(picks.size, 0.5))
+    assert list(got) == [1.0 + i for i in range(9)] + [2.0 + i for i in range(9)] + [10.0]
+    nested = Mixture(((0.3, Deterministic(1.0)),
+                      (0.7, Mixture(((0.5, Deterministic(2.0)), (0.5, Deterministic(3.0)))))))
+    assert nested._compose(np.array([0.3, np.nextafter(0.3, 1.0), 0.5, 0.9, top]),
+                           np.full(5, 0.5)).tolist() == [1.0, 2.0, 2.0, 3.0, 3.0]
+
+
+@pytest.mark.parametrize("d", [d for d in CATALOGUE if not isinstance(d, Mixture)],
+                         ids=lambda d: type(d).__name__ + repr(d)[:30])
+def test_non_mixture_draws_invert_one_piece(d):
+    # every other law inverts one uniform piece per call, so its draws equal
+    # the quantiles of the same stream's uniforms, scalars included
+    a, b = Stream.from_seed(5, 1), Stream.from_seed(5, 1)
+    for size in (None, 7, (2, 300), None):
+        got = d.sample(a, size)
+        want = d.quantile(b.uniform_open(size))
+        assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
 
 
 def test_boundary_covers_every_law():
