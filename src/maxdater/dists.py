@@ -37,10 +37,6 @@ search stops at adjacent doubles and returns the upper one: the least
 double q with cdf(q) >= p, exactly, for any monotone cdf.  At least every
 other step halves the bracket's width in bit patterns, which starts below
 2**63, so at most 2 * 63 steps follow the two cdf evaluations at the ends.
-Before any search, each p is probed against the cdf's jumps: a breakpoint a
-with cdf(prev_float(a)) < p <= cdf(a) is the root, exactly.  This settles
-every p on a mixture of atoms, whose flat cdf gives the secant nothing to
-go on.
 
 ``truncated_mean_by_quadrature`` integrates the tail numerically and is
 kept as an independent route against the closed forms.
@@ -53,7 +49,6 @@ command line reads the same fields to parse, check and echo every law.
 
 from __future__ import annotations
 
-import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, fields
@@ -534,7 +529,7 @@ class Mixture(Distribution, kind="mixture"):
         shape, pick, u = u.shape, pick.ravel(), u.ravel()
         # the weights added left to right, as _cdf adds them, so the last is
         # exactly 1 (see __post_init__)
-        top = np.array(list(itertools.accumulate(w for w, _ in self.components)))
+        top = np.cumsum([w for w, _ in self.components])
         # the count of cumulative weights below pick, which is searchsorted's
         # index and, for being taken over all but the last, at most the last
         # component's (a compare per weight beats a binary search per draw)
@@ -553,48 +548,25 @@ class Mixture(Distribution, kind="mixture"):
                 out[at] = d._quantile(u[at])
         return out.reshape(shape)
 
-    def _jumps(self):
-        """(a, cdf(prev_float(a)), cdf(a)) at the breakpoints a where the
-        cdf jumps, ascending; their (cdf(prev_float(a)), cdf(a)] are
-        disjoint and ascending too.  The left limits end in an extra +inf,
-        which stands below no p, for p above every jump."""
-        a = np.array(self._breakpoints(), dtype=float)
-        below, at = self._cdf(np.nextafter(a, 0.0)), self._cdf(a)
-        jump = at > below
-        return a[jump], np.append(below[jump], np.inf), at[jump]
-
     def _quantile(self, p):
         """Exact generalized inverse: the least double q with cdf(q) >= p.
 
-        Settles p in a jump (cdf(prev_float(a)), cdf(a)] at a, then brackets
-        each other q by the component quantiles and closes the bracket to
+        Brackets q by the component quantiles, then closes the bracket to
         adjacent doubles with a guarded secant and bisection on the int64
         bit pattern; see the module docstring.  Raises RuntimeError if the
         bracket is still open after ``_MAX_STEPS`` steps, which the step
         bound rules out for component laws on [0, inf].
         """
-        shape, p = p.shape, p.ravel()
-        q = np.empty(p.size)
-        todo = slice(None)
-        a, below, at = self._jumps()
-        if a.size:
-            k = np.searchsorted(at, p)  # the first jump with cdf(a) >= p
-            hit = below[k] < p
-            if hit.any():
-                q[hit] = a[k[hit]]
-                todo = np.flatnonzero(~hit)
-        p_open, q_open = p[todo], q[todo]  # views when nothing was settled
-        if p_open.size:
-            blocks = -(-p_open.size // _SEARCH_BLOCK)  # of near-equal length
-            # An overflowed q_i = inf is a valid upper end, and a secant
-            # through equal cdf values or an infinite end is not finite,
-            # which the bracket test then rejects.
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                for part, into in zip(np.array_split(p_open, blocks),
-                                      np.array_split(q_open, blocks)):
-                    self._invert(part, into)
-            q[todo] = q_open
-        return q.reshape(shape)
+        q = np.empty(p.shape)
+        blocks = max(1, -(-p.size // _SEARCH_BLOCK))  # of near-equal length
+        # An overflowed q_i = inf is a valid upper end, and a secant through
+        # equal cdf values or an infinite end is not finite, which the
+        # bracket test then rejects.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for part, into in zip(np.array_split(p.ravel(), blocks),
+                                  np.array_split(q.reshape(-1), blocks)):
+                self._invert(part, into)
+        return q
 
     def _bracket(self, p):
         """Rows lo, hi, b, f(b), slope, p for the search: the bracket, its
