@@ -21,7 +21,11 @@ scalar, evaluated as a one-element array; ``quantile`` rejects p outside
 ``_`` kernels, which take float arrays of ndim >= 1 and check nothing.
 ``sample`` trusts ``Stream.uniform_open`` to stay inside (0, 1) and hands
 the law's ``_sample`` kernel a size, so a scalar draw is the first of a
-one-element draw.
+one-element draw.  A ``_sample`` kernel owns the uniform piece it draws and
+may invert it in place (``Exponential`` does, by ``_quantile``'s own
+operations in the same order, so its draws are bitwise the quantiles of the
+uniforms).  ``_quantile`` never writes to its input, which through
+``quantile`` may be the caller's array.
 
 ``Mixture.quantile`` has no closed form and searches for the generalized
 inverse.  The component quantiles bracket it: every component cdf is below
@@ -245,6 +249,13 @@ class Exponential(Distribution, kind="exponential"):
 
     def _quantile(self, p):
         return -np.log1p(-p) / self.rate
+
+    def _sample(self, stream, size):
+        u = stream.uniform_open(size)  # _quantile's operations, in place
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        np.negative(u, out=u)
+        return np.divide(u, self.rate, out=u)
 
     def mean(self) -> float:
         return 1.0 / self.rate

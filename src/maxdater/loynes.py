@@ -177,6 +177,13 @@ def _backward(m: ModelSpec, rows: int, stream: Stream, horizon: float, *,
     the draws do not depend on it, or by default hold up to ``_BLOCK_ELEMS``
     draws with the last cut to the horizon.  Given a ``grid``, also tracks
     each path's last record (1-based) and the sums of service tails at Tt_j.
+
+    A term is a record when it beats every earlier term and 0.  The last
+    record in a piece is therefore the first column that reaches the
+    piece's maximum (``argmax``), if that maximum beats the best so far: no
+    later column strictly beats it, and it strictly beats every column
+    before it.  So one ``argmax`` per row gives the same records as
+    comparing each term with the running maximum.
     """
     absorb = math.isinf(horizon)
     if absorb:
@@ -192,23 +199,18 @@ def _backward(m: ModelSpec, rows: int, stream: Stream, horizon: float, *,
         t = m.interarrival.sample(stream, (len(ids), block or use))
         s = m.service.sample(stream, (len(ids), block or use))
         cum = _epochs(t[:, :use], offset)
-        tprev = np.empty_like(cum)  # in place or by np.concatenate, these
-        tprev[:, 0] = offset        # made glibc trim and re-fault the pieces
-        tprev[:, 1:] = cum[:, :-1]
-        terms = s[:, :use] - tprev
+        terms = s[:, :use]  # st_j - Tt_{j-1}, built in the service piece
+        terms[:, 0] -= offset
+        np.subtract(terms[:, 1:], cum[:, :-1], out=terms[:, 1:])
         if grid is None:
             best = np.maximum(best, terms.max(axis=1))
         else:
-            comb = np.maximum(np.maximum.accumulate(terms, axis=1), best[:, None])
-            prev = np.empty_like(comb)
-            prev[:, 0] = best
-            prev[:, 1:] = comb[:, :-1]
-            improved = terms > prev
-            lastcol = use - 1 - np.argmax(improved[:, ::-1], axis=1)
-            last_rec = np.where(improved.any(axis=1), j0 + 1 + lastcol, last_rec)
+            col = np.argmax(terms, axis=1)
+            top = terms[np.arange(len(ids)), col]
+            last_rec = np.where(top > best, j0 + 1 + col, last_rec)
             for gi in np.nonzero((grid > j0) & (grid <= j0 + use))[0]:
                 tail_sums[gi] += float(np.sum(m.service.tail(cum[:, grid[gi] - j0 - 1])))
-            best = comb[:, -1]
+            best = np.maximum(top, best)
         offset = cum[:, -1]
         j0 += use
         stop = offset >= s_up

@@ -61,11 +61,16 @@ class Stream:
         Returns (k + 1/2) / 2**53 rounded to double, for k uniform on
         {0, ..., 2**53 - 1}.  The one value that rounds to 1.0
         (k = 2**53 - 1) is clamped to 1 - 2**-53, the largest double below
-        1, so quantile inversion never sees 0.0 or 1.0.
+        1, so quantile inversion never sees 0.0 or 1.0.  An array of draws
+        is converted in the integers' own buffer, and the caller owns it.
         """
         k = self.gen.integers(0, 1 << 53, size=size, dtype=np.int64)
-        u = (k + 0.5) * _INV53
-        return np.minimum(u, 1.0 - _INV53, out=None if size is None else u)
+        if size is None:
+            return np.minimum((k + 0.5) * _INV53, 1.0 - _INV53)
+        u = k.view(np.float64)  # converted in place, the same operations
+        np.add(k, 0.5, out=u)
+        np.multiply(u, _INV53, out=u)
+        return np.minimum(u, 1.0 - _INV53, out=u)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Stream(entropy={self._seq.entropy}, path={tuple(self._seq.spawn_key)})"

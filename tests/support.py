@@ -47,6 +47,26 @@ def backward_oracle(s_rev, t_rev, n):
     return out
 
 
+def piecewise_backward_oracle(s_rev, t_rev, n, width):
+    """(best, last record) of st_j - Tt_{j-1} over j = 1..n, one float at a
+    time, with the epochs added up as a kernel drawing ``width``-wide pieces
+    adds them: a running sum within each piece plus the epoch carried in
+    from the pieces before.  A term is a record when it is strictly above
+    the running maximum, which starts at 0; the last record is 1-based and
+    0 when no term is positive."""
+    best, last, carried = 0.0, 0, 0.0
+    for j0 in range(0, n, width):
+        partial, epoch = 0.0, carried  # epoch: Tt_{j-1} for the next j
+        for j in range(j0, min(j0 + width, n)):
+            term = float(s_rev[j]) - epoch
+            if term > best:
+                best, last = term, j + 1
+            partial += float(t_rev[j])
+            epoch = partial + carried
+        carried = epoch
+    return best, last
+
+
 def lindley_oracle(w0, xi):
     ws = [float(w0)]
     for x in xi:

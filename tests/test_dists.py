@@ -490,6 +490,16 @@ def test_non_mixture_draws_invert_one_piece(d):
         assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
 
 
+@pytest.mark.parametrize("d", CATALOGUE, ids=lambda d: type(d).__name__ + repr(d)[:30])
+def test_quantile_leaves_its_input_alone(d):
+    # sampling kernels may invert their own uniforms in place; quantile
+    # holds the caller's array and must not
+    p = Stream.from_seed(5, 2).uniform_open((3, 50))
+    kept = p.copy()
+    d.quantile(p)
+    assert np.array_equal(p.view(np.int64), kept.view(np.int64))
+
+
 def test_boundary_covers_every_law():
     assert {type(d) for d in CATALOGUE} == set(dists.CATALOGUE.values())
 

@@ -2,6 +2,7 @@
 and the total-variation check."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from maxdater.dists import (
 from maxdater.loynes import (
     DivergenceSuspected,
     _backward,
+    _residual_grid,
     backward_maxdater,
     stationary_batch,
     stationary_sample,
@@ -26,7 +28,12 @@ from maxdater.loynes import (
     tv_discrepancy,
 )
 
-from support import RecordingLaw, backward_oracle, enumerate_discrete_stationary
+from support import (
+    RecordingLaw,
+    backward_oracle,
+    enumerate_discrete_stationary,
+    piecewise_backward_oracle,
+)
 
 DIVERGENT = ModelSpec(Pareto(0.8, 1.0), Pareto(0.5, 1.0))
 
@@ -230,6 +237,71 @@ def test_backward_kernel_rows_match_oracle(m, rows, horizon, block_elems, seed):
             assert best[r] == pytest.approx(want[-1], rel=1e-12, abs=1e-12)
         sums += m.service.tail(np.cumsum(t[r]))
     np.testing.assert_allclose(tail_sums, sums, rtol=1e-9)
+
+
+# deterministic arrivals on a binary grid and a few service values: equal
+# terms are common, so the first-occurrence rule for records is exercised
+TIES = [ModelSpec(Deterministic(1.0), DiscreteUniform((1.0, 2.0, 3.0))),
+        ModelSpec(Deterministic(0.5), DiscreteUniform((1.0, 4.0, 8.0)))]
+
+
+def _piecewise_records(m, rows, horizon, block_elems, seed):
+    """The kernel's (best, last_rec) over pieces of at most ``block_elems``
+    draws, the piece width and the draws it used."""
+    old = engine._BLOCK_ELEMS
+    engine._BLOCK_ELEMS = block_elems
+    try:
+        (best, last_rec, _), t, s = _recorded_backward(
+            m, rows, seed, horizon, grid=np.arange(1, horizon + 1))
+        width = engine._block(rows, horizon)
+    finally:
+        engine._BLOCK_ELEMS = old
+    return best, last_rec, width, t, s
+
+
+@given(m=st.sampled_from(UNBOUNDED + TIES), rows=st.integers(1, 4),
+       horizon=st.integers(1, 60), block_elems=st.integers(1, 40),
+       seed=st.integers(0, 2**31))
+@settings(max_examples=150, deadline=None)
+def test_backward_kernel_records_across_pieces(m, rows, horizon, block_elems, seed):
+    # best and last record are bitwise the piece-wise oracle's, whatever the
+    # piece boundaries, ties included
+    best, last_rec, width, t, s = _piecewise_records(m, rows, horizon, block_elems, seed)
+    for r in range(rows):
+        want_best, want_last = piecewise_backward_oracle(s[r], t[r], horizon, width)
+        assert best[r].tobytes() == np.float64(want_best).tobytes()
+        assert last_rec[r] == want_last
+
+
+def test_backward_kernel_ties_take_the_first_record():
+    # equal terms across piece boundaries: the record is the first of them
+    m = TIES[0]
+    best, last_rec, width, t, s = _piecewise_records(m, 40, 12, 40 * 2, 21)
+    assert width == 2
+    tied = 0
+    for r in range(40):
+        terms = s[r] - np.concatenate([[0.0], np.cumsum(t[r])[:-1]])
+        hits = np.nonzero(terms == terms.max())[0]
+        if terms.max() > 0:
+            assert last_rec[r] == hits[0] + 1 and best[r] == terms.max()
+            tied += len(hits) > 1 and hits[0] // width != hits[-1] // width
+    assert tied > 0
+
+
+def test_backward_kernel_peak_memory():
+    # timing-free: one (512, 1000) piece holds its two draw pieces and the
+    # epochs; terms and records are built without more piece-sized arrays
+    m, rows, horizon = ModelSpec(Exponential(1.0), Exponential(1.0)), 512, 1000
+    grid = _residual_grid(horizon)
+    assert engine._block(rows, horizon) == horizon
+    _backward(m, rows, Stream.from_seed(3), horizon, grid=grid)
+    tracemalloc.start()
+    try:
+        _backward(m, rows, Stream.from_seed(3), horizon, grid=grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * rows * horizon * 8
 
 
 @given(horizon=st.integers(1, 200), seed=st.integers(0, 2**31))

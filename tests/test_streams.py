@@ -28,6 +28,24 @@ def test_uniform_open_top_draw_stays_below_one():
     assert np.all(np.isfinite(Exponential(1.0).sample(_top_stream(), 4)))
 
 
+def test_uniform_open_top_draw_every_shape():
+    top = 1.0 - 2.0 ** -53
+    for size in (None, 1, 4, (2, 3), (3, 1, 2)):
+        u = _top_stream().uniform_open(size)
+        assert np.shape(u) == np.empty(size or ()).shape and np.all(u == top)
+
+
+def test_uniform_open_is_the_formula_for_every_shape():
+    # the array draws are converted in place, the scalar one is not; both
+    # are (k + 1/2) / 2**53 bit for bit
+    for size in (None, 1, (3, 5), (64, 300)):
+        k = Stream.from_seed(7, 4).gen.integers(0, 1 << 53, size=size, dtype=np.int64)
+        u = Stream.from_seed(7, 4).uniform_open(size)
+        want = (k + 0.5) * 2.0 ** -53
+        assert np.shape(u) == np.shape(want)
+        assert np.array_equal(np.asarray(u).view(np.int64), np.asarray(want).view(np.int64))
+
+
 def test_uniform_open_other_draws_unchanged():
     k = Stream.from_seed(7, 3).gen.integers(0, 1 << 53, size=100_000, dtype=np.int64)
     u = Stream.from_seed(7, 3).uniform_open(100_000)
