@@ -22,10 +22,10 @@ scalar, evaluated as a one-element array; ``quantile`` rejects p outside
 ``sample`` trusts ``Stream.uniform_open`` to stay inside (0, 1) and hands
 the law's ``_sample`` kernel a size, so a scalar draw is the first of a
 one-element draw.  A ``_sample`` kernel owns the uniform piece it draws and
-may invert it in place (``Exponential`` does, by ``_quantile``'s own
-operations in the same order, so its draws are bitwise the quantiles of the
-uniforms).  ``_quantile`` never writes to its input, which through
-``quantile`` may be the caller's array.
+may invert it in place (``Exponential`` divides log1p(-u) by -rate, bitwise
+``_quantile``'s -log1p(-p) / rate since IEEE division is sign-symmetric).
+``_quantile`` never writes to its input, which through ``quantile`` may be
+the caller's array.
 
 ``Mixture.quantile`` has no closed form and searches for the generalized
 inverse.  The component quantiles bracket it: every component cdf is below
@@ -222,8 +222,8 @@ class Distribution(ABC):
         return val
 
     def sample(self, stream: Stream, size=None):
-        """Draws of shape ``size``; a float for size None, the first of a
-        one-element draw."""
+        """Draws of shape ``size``, owned by the caller; a float for size
+        None, the first of a one-element draw."""
         if size is None:
             return float(self._sample(stream, 1)[0])
         return self._sample(stream, size)
@@ -251,11 +251,10 @@ class Exponential(Distribution, kind="exponential"):
         return -np.log1p(-p) / self.rate
 
     def _sample(self, stream, size):
-        u = stream.uniform_open(size)  # _quantile's operations, in place
+        u = stream.uniform_open(size)  # _quantile in place, sign moved
         np.negative(u, out=u)
         np.log1p(u, out=u)
-        np.negative(u, out=u)
-        return np.divide(u, self.rate, out=u)
+        return np.divide(u, -self.rate, out=u)
 
     def mean(self) -> float:
         return 1.0 / self.rate

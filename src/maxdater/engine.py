@@ -12,8 +12,8 @@ identical uniforms in identical order.  Batches of paths draw (paths,
 block) pieces, one row per path, of at most 2**20 draws, with the last
 piece cut to the horizon; where the draws must not depend on the horizon
 (the single stationary draw, the absorbing scan for bounded service)
-whole 4096- or 64-wide pieces are drawn.  A row's arrival epochs are its
-cumulative sum within the piece plus the epoch it carried in.
+whole 4096- or 64-wide pieces are drawn.  Arrival epochs overwrite the
+inter-arrival piece: each row's cumulative sum plus the epoch it carried in.
 """
 
 from __future__ import annotations
@@ -121,11 +121,11 @@ def _passing_steps(m: ModelSpec, level: float, rows: int, who: str, what: str):
 
 
 def _epochs(t: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    """Arrival epochs of a (paths, block) piece of inter-arrival times:
-    each row's cumulative sum plus the epoch the row carried in."""
-    cum = np.cumsum(t, axis=1)
-    cum += offset[:, None]
-    return cum
+    """Arrival epochs of a (paths, block) piece of inter-arrival times, each
+    row's cumulative sum plus the epoch it carried in, written over ``t``."""
+    np.cumsum(t, axis=1, out=t)
+    t += offset[:, None]
+    return t
 
 
 def _forward(m: ModelSpec, x0: np.ndarray, steps: int, stream: Stream):
@@ -139,13 +139,13 @@ def _forward(m: ModelSpec, x0: np.ndarray, steps: int, stream: Stream):
         length = min(block, steps - k0)
         t = m.interarrival.sample(stream, (rows, length))
         s = m.service.sample(stream, (rows, length))
-        arrivals = _epochs(t, offset)
         # step-major, so that each step writes one contiguous row
         xs = np.empty((length, rows))
         for tk, sk, xk in zip(t.T, s.T, xs):
             np.subtract(x, tk, out=xk)
             np.maximum(xk, sk, out=xk)
             x = xk
+        arrivals = _epochs(t, offset)
         offset = arrivals[:, -1]
         yield xs.T, arrivals
 

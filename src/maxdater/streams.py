@@ -23,6 +23,7 @@ _T = TypeVar("_T")
 N_CHUNKS = 64
 
 _INV53 = 2.0 ** -53
+_INV54 = 2.0 ** -54
 
 
 class Stream:
@@ -58,18 +59,17 @@ class Stream:
     def uniform_open(self, size=None):
         """Uniform draws strictly inside (0, 1).
 
-        Returns (k + 1/2) / 2**53 rounded to double, for k uniform on
-        {0, ..., 2**53 - 1}.  The one value that rounds to 1.0
-        (k = 2**53 - 1) is clamped to 1 - 2**-53, the largest double below
-        1, so quantile inversion never sees 0.0 or 1.0.  An array of draws
-        is converted in the integers' own buffer, and the caller owns it.
+        Returns (k + 1/2) / 2**53 rounded to double, k the top 53 bits of one
+        Philox word: ``Generator.random`` gives k / 2**53 exactly, and adding
+        2**-54 rounds as adding 1/2 to k does (rounding commutes with scaling
+        by 2**-53).  k = 2**53 - 1 rounds to 1.0 and is clamped to 1 - 2**-53,
+        the largest double below 1, so quantile inversion never sees 0.0 or
+        1.0.  The caller owns an array of draws.
         """
-        k = self.gen.integers(0, 1 << 53, size=size, dtype=np.int64)
         if size is None:
-            return np.minimum((k + 0.5) * _INV53, 1.0 - _INV53)
-        u = k.view(np.float64)  # converted in place, the same operations
-        np.add(k, 0.5, out=u)
-        np.multiply(u, _INV53, out=u)
+            return np.minimum(self.gen.random() + _INV54, 1.0 - _INV53)
+        u = self.gen.random(size)
+        u += _INV54
         return np.minimum(u, 1.0 - _INV53, out=u)
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -490,6 +490,20 @@ def test_non_mixture_draws_invert_one_piece(d):
         assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
 
 
+@pytest.mark.parametrize("rate", [1.0, 0.25, 3.0, 0.7, 1e-3])
+def test_exponential_draws_are_its_quantiles(rate):
+    # the sampler divides by -rate where quantile negates and divides by
+    # rate; IEEE division is sign-symmetric, so the bits agree, also for
+    # rates that are not powers of two
+    d = Exponential(rate)
+    a, b = Stream.from_seed(5, 3), Stream.from_seed(5, 3)
+    for size in (None, (64, 300), 1000, (3, 1, 7)):
+        got = d.sample(a, size)
+        want = d.quantile(b.uniform_open(size))
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+
 @pytest.mark.parametrize("d", CATALOGUE, ids=lambda d: type(d).__name__ + repr(d)[:30])
 def test_quantile_leaves_its_input_alone(d):
     # sampling kernels may invert their own uniforms in place; quantile

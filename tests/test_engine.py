@@ -166,6 +166,25 @@ def test_forward_stepper_rows_match_oracle(case, rows, steps, block_elems, seed,
         np.testing.assert_allclose(arrivals[r], np.cumsum(t[r]), rtol=1e-12)
 
 
+@given(rows=st.integers(1, 6), cols=st.integers(1, 50), seed=st.integers(0, 2**31))
+@settings(max_examples=100, deadline=None)
+def test_epochs_overwrite_the_piece_with_the_same_bits(rows, cols, seed):
+    # the epochs take the piece's own buffer: the same cumulative sum and
+    # the same addition as into a new array
+    gen = np.random.default_rng(seed)
+    t, offset = gen.exponential(size=(rows, cols)), gen.exponential(size=rows) * 100
+    want = np.cumsum(t, axis=1) + offset[:, None]
+    piece = t.copy()
+    got = engine._epochs(piece, offset)
+    assert got is piece
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # a column slice of a wider piece, as the whole-block scans pass
+    wide = np.concatenate([t, t], axis=1)
+    assert np.array_equal(engine._epochs(wide[:, :cols], offset).view(np.int64),
+                          want.view(np.int64))
+    assert np.array_equal(wide[:, cols:], t)
+
+
 def test_batched_paths_draw_whole_pieces(monkeypatch):
     # sample calls grow with the number of (paths, block) pieces, not with
     # the number of steps

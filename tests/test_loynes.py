@@ -304,6 +304,21 @@ def test_backward_kernel_peak_memory():
     assert peak <= 3.5 * rows * horizon * 8
 
 
+def test_backward_kernel_holds_two_pieces():
+    # timing-free: the uniforms are made in place and the epochs overwrite
+    # the inter-arrival piece, so the two draw pieces are all that is held
+    m, rows, horizon = ModelSpec(Exponential(1.0), Exponential(1.0)), 512, 1000
+    grid = _residual_grid(horizon)
+    _backward(m, rows, Stream.from_seed(3), horizon, grid=grid)
+    tracemalloc.start()
+    try:
+        _backward(m, rows, Stream.from_seed(3), horizon, grid=grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.3 * rows * horizon * 8
+
+
 @given(horizon=st.integers(1, 200), seed=st.integers(0, 2**31))
 @settings(max_examples=100, deadline=None)
 def test_backward_kernel_whole_blocks_stop_at_supremum(horizon, seed):

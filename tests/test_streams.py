@@ -1,5 +1,7 @@
 """Uniform draws behind every sampler."""
 
+import tracemalloc
+
 import numpy as np
 
 from maxdater import Stream
@@ -8,10 +10,12 @@ from maxdater.streams import N_CHUNKS, chunk_plan
 
 
 class _TopGenerator:
-    """Stands in for the Philox generator: always the largest integer."""
+    """Stands in for the Philox generator: always the largest double below
+    1 that ``random`` gives, (2**53 - 1) / 2**53."""
 
-    def integers(self, low, high, size=None, dtype=np.int64):
-        return np.full(size, high - 1, dtype=dtype) if size is not None else dtype(high - 1)
+    def random(self, size=None):
+        top = (2.0 ** 53 - 1.0) * 2.0 ** -53
+        return np.full(size, top) if size is not None else top
 
 
 def _top_stream():
@@ -51,6 +55,37 @@ def test_uniform_open_other_draws_unchanged():
     u = Stream.from_seed(7, 3).uniform_open(100_000)
     assert np.array_equal(u, (k + 0.5) * 2.0 ** -53)
     assert np.all((u > 0.0) & (u < 1.0))
+
+
+def _plain(state):
+    """A bit generator's state with its arrays as lists, for ``==``."""
+    if isinstance(state, dict):
+        return {k: _plain(v) for k, v in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+def test_uniform_open_leaves_the_generator_where_integers_does():
+    # one Philox word per draw either way, so every later draw of the
+    # stream is unchanged
+    for size in (None, 1, 5, (7, 13), (64, 300)):
+        a, b = Stream.from_seed(7, 5), Stream.from_seed(7, 5)
+        a.uniform_open(size)
+        b.gen.integers(0, 1 << 53, size=size, dtype=np.int64)
+        assert _plain(a.gen.bit_generator.state) == _plain(b.gen.bit_generator.state)
+        assert a.uniform_open(3).tolist() == b.uniform_open(3).tolist()
+
+
+def test_uniform_open_peak_memory():
+    # timing-free: the draws are made and shifted in one buffer
+    size = (512, 1000)
+    Stream.from_seed(3).uniform_open(size)
+    tracemalloc.start()
+    try:
+        Stream.from_seed(3).uniform_open(size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * size[0] * size[1] * 8
 
 
 def test_chunk_plan_tiles_the_replications():
