@@ -27,6 +27,13 @@ may invert it in place (``Exponential`` divides log1p(-u) by -rate, bitwise
 ``_quantile`` never writes to its input, which through ``quantile`` may be
 the caller's array.
 
+``largest_draw`` is the largest value ``sample`` can return, which can lie
+far below the essential supremum: ``uniform_open`` never goes above
+1 - 2**-53, and inversion is monotone in the uniform, so an inverting law
+draws at most its quantile there (``inf`` where that overflows, as for a
+Pareto law of small index).  Composition hands each draw to one component,
+so a mixture draws at most the largest of its components' largest draws.
+
 ``Mixture.quantile`` has no closed form and searches for the generalized
 inverse.  The component quantiles bracket it: every component cdf is below
 p just under min_i q_i(p) and at least p at max_i q_i(p), so the search
@@ -60,7 +67,7 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from .streams import Stream
+from .streams import _TOP_UNIFORM, Stream
 
 __all__ = [
     "CATALOGUE",
@@ -231,6 +238,12 @@ class Distribution(ABC):
     def _sample(self, stream, size):
         """The sampling kernel: inversion of one uniform piece."""
         return self._quantile(stream.uniform_open(size))
+
+    def largest_draw(self) -> float:
+        """The largest value ``sample`` can return: the quantile at the
+        largest uniform, ``inf`` where it overflows."""
+        with np.errstate(over="ignore"):
+            return float(self._quantile(np.array([_TOP_UNIFORM]))[0])
 
     def _breakpoints(self) -> tuple[float, ...]:
         """Atoms and kink locations of the tail, for piecewise quadrature."""
@@ -530,6 +543,11 @@ class Mixture(Distribution, kind="mixture"):
         shape, always in that order."""
         pick = stream.uniform_open(size)
         return self._compose(pick, stream.uniform_open(size))
+
+    def largest_draw(self) -> float:
+        """The largest of the components' largest draws: composition draws
+        each value from one component."""
+        return max(d.largest_draw() for _, d in self.components)
 
     def _compose(self, pick, u):
         """Draws at the uniforms ``u``, each by the component that ``pick``

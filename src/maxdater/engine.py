@@ -14,6 +14,9 @@ piece cut to the horizon; where the draws must not depend on the horizon
 (the single stationary draw, the absorbing scan for bounded service)
 whole 4096- or 64-wide pieces are drawn.  Arrival epochs overwrite the
 inter-arrival piece: each row's cumulative sum plus the epoch it carried in.
+The backward scan's service piece ends at the first column where every
+row's epoch before it has passed the service law's largest draw, since no
+later term can be a record (see ``loynes._backward``).
 """
 
 from __future__ import annotations

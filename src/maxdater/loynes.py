@@ -178,6 +178,13 @@ def _backward(m: ModelSpec, rows: int, stream: Stream, horizon: float, *,
     draws with the last cut to the horizon.  Given a ``grid``, also tracks
     each path's last record (1-based) and the sums of service tails at Tt_j.
 
+    Each piece draws its inter-arrival times and epochs over its whole
+    width, then a service piece that ends at the first column where every
+    row's clock Tt_{j-1} has passed the service law's largest draw: from
+    there on every term is negative and cannot be a record, so those
+    services are never drawn.  That width comes from the whole piece, never
+    from the horizon, so whole blocks still draw independently of it.
+
     A term is a record when it beats every earlier term and 0.  The last
     record in a piece is therefore the first column that reaches the
     piece's maximum (``argmax``), if that maximum beats the best so far: no
@@ -190,28 +197,34 @@ def _backward(m: ModelSpec, rows: int, stream: Stream, horizon: float, *,
         horizon, median = _passing_steps(m, s_up, rows, "the absorbing scan",
                                          "the service supremum")
     tail_sums = np.zeros(0 if grid is None else len(grid))
+    s_top = m.service.largest_draw()
     # the running rows' state, compacted when rows stop
     ids, best, offset = np.arange(rows), np.zeros(rows), np.zeros(rows)
     last_rec = np.zeros(rows, dtype=np.int64)
     done, j0 = [], 0  # done: (ids, best, last_rec) of the stopped rows
     while len(ids) and j0 < horizon:
         use = min(block or _block(rows, horizon), horizon - j0)
-        t = m.interarrival.sample(stream, (len(ids), block or use))
-        s = m.service.sample(stream, (len(ids), block or use))
-        cum = _epochs(t[:, :use], offset)
-        terms = s[:, :use]  # st_j - Tt_{j-1}, built in the service piece
-        terms[:, 0] -= offset
-        np.subtract(terms[:, 1:], cum[:, :-1], out=terms[:, 1:])
-        if grid is None:
-            best = np.maximum(best, terms.max(axis=1))
-        else:
-            col = np.argmax(terms, axis=1)
-            top = terms[np.arange(len(ids)), col]
-            last_rec = np.where(top > best, j0 + 1 + col, last_rec)
+        cum = _epochs(m.interarrival.sample(stream, (len(ids), block or use)), offset)
+        # the rows' least epoch is nondecreasing along the piece: services
+        # are drawn up to the first column whose epoch before it, Tt_{j-1}
+        # (offset for column 0), has passed s_top in every row
+        width = 0 if offset.min() > s_top else min(
+            1 + int(np.searchsorted(cum.min(axis=0), s_top, side="right")), cum.shape[1])
+        if width:
+            terms = m.service.sample(stream, (len(ids), width))[:, :use]
+            terms[:, 0] -= offset  # st_j - Tt_{j-1}, built in the service piece
+            np.subtract(terms[:, 1:], cum[:, :terms.shape[1] - 1], out=terms[:, 1:])
+            if grid is None:
+                best = np.maximum(best, terms.max(axis=1))
+            else:
+                col = np.argmax(terms, axis=1)
+                top = terms[np.arange(len(ids)), col]
+                last_rec = np.where(top > best, j0 + 1 + col, last_rec)
+                best = np.maximum(top, best)
+        if grid is not None:
             for gi in np.nonzero((grid > j0) & (grid <= j0 + use))[0]:
                 tail_sums[gi] += float(np.sum(m.service.tail(cum[:, grid[gi] - j0 - 1])))
-            best = np.maximum(top, best)
-        offset = cum[:, -1]
+        offset = cum[:, use - 1]
         j0 += use
         stop = offset >= s_up
         if stop.any():
@@ -291,6 +304,8 @@ def stationary_sample(
     feeds the divergence check and the residual fit; the returned value is
     an independent single construction (second child) drawn in whole
     4096-wide blocks, so on a fixed seed it is non-decreasing in the horizon.
+    Each block's service piece is cut where its clock passes the largest
+    service draw, found over the whole block, never from the horizon.
     """
     batch = stationary_batch(
         m, horizon, max(1, divergence.pilot), stream.child(0),

@@ -24,6 +24,8 @@ N_CHUNKS = 64
 
 _INV53 = 2.0 ** -53
 _INV54 = 2.0 ** -54
+# the largest draw of uniform_open, the largest double below 1
+_TOP_UNIFORM = 1.0 - _INV53
 
 
 class Stream:
@@ -67,10 +69,10 @@ class Stream:
         1.0.  The caller owns an array of draws.
         """
         if size is None:
-            return np.minimum(self.gen.random() + _INV54, 1.0 - _INV53)
+            return np.minimum(self.gen.random() + _INV54, _TOP_UNIFORM)
         u = self.gen.random(size)
         u += _INV54
-        return np.minimum(u, 1.0 - _INV53, out=u)
+        return np.minimum(u, _TOP_UNIFORM, out=u)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Stream(entropy={self._seq.entropy}, path={tuple(self._seq.spawn_key)})"

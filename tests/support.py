@@ -223,11 +223,13 @@ def model_catalogue():
 
 class RecordingLaw:
     """Wraps a law and keeps every piece it samples, so a test can replay
-    the exact draws a batched kernel consumed, row by row."""
+    the exact draws a batched kernel consumed, row by row.  Laws that share
+    a ``log`` also record there, as (law, piece), the order they drew in."""
 
-    def __init__(self, law):
+    def __init__(self, law, log=None):
         self.law = law
         self.pieces = []
+        self.log = [] if log is None else log
 
     def __getattr__(self, name):
         return getattr(self.law, name)
@@ -235,6 +237,7 @@ class RecordingLaw:
     def sample(self, stream, size=None):
         out = self.law.sample(stream, size)
         self.pieces.append(out.copy())  # kernels may work in place
+        self.log.append((self, self.pieces[-1]))
         return out
 
     def rows(self):

@@ -28,6 +28,7 @@ from support import (
     integrate_against,
     truncated_mean_oracle,
 )
+from test_streams import _top_stream  # every uniform is the top one
 
 CATALOGUE = [
     Exponential(1.0),
@@ -542,3 +543,86 @@ def test_public_boundary(d):
         assert type(y) is float
         assert y == d.sample(Stream.from_seed(seed, 4), 1)[0]
     assert d.sample(Stream.from_seed(0), 0).shape == (0,)
+
+
+# ---------------------------------------------------------- largest draw
+
+# every kind at extreme parameters: quantiles at the top uniform from about
+# 1e-300 up to past the largest double, where they overflow to inf
+_EXTREMES = [
+    Exponential(1e-300),
+    Exponential(1e300),
+    Deterministic(1e-300),
+    Deterministic(1e300),
+    Pareto(0.01, 1.0),
+    Pareto(100.0, 1e-300),
+    Pareto(0.5, 1e300),
+    TruncatedParetoOne(1e-300, 1e-300),
+    TruncatedParetoOne(1e300, 1e300),
+    Uniform(0.0, 1e-300),
+    Uniform(1e300, 1.5e300),
+    DiscreteUniform((1e-300, 1.0, 1e300)),
+    Mixture(((0.5, Exponential(1e-300)), (0.5, Pareto(0.01, 1.0)))),
+    Mixture(((0.3, Uniform(0.0, 2.0)),
+             (0.7, Mixture(((0.5, Deterministic(1e300)), (0.5, Exponential(1.0))))))),
+    Mixture(((1e-9, TruncatedParetoOne(1e300, 1e300)),
+             (1.0 - 1e-9, Mixture(((0.5, Mixture(((1.0, Deterministic(3.0)),))),
+                                   (0.5, DiscreteUniform((1.0, 2.0)))))))),
+]
+
+
+def _leaves(d):
+    """The laws a mixture composes, nested mixtures opened up."""
+    if isinstance(d, Mixture):
+        for _, c in d.components:
+            yield from _leaves(c)
+    else:
+        yield d
+
+
+def _mixture_of(comps):
+    total = math.fsum(w for w, _ in comps)
+    return Mixture(tuple((w / total, law) for w, law in comps))
+
+
+# catalogue and extreme laws, and mixtures of them nested up to three deep
+_ANY_LAW = st.recursive(
+    st.one_of(st.sampled_from(CATALOGUE + _EXTREMES), _mixture_laws()),
+    lambda inner: st.lists(st.tuples(st.floats(0.05, 1.0), inner),
+                           min_size=1, max_size=3).map(_mixture_of),
+    max_leaves=6)
+
+
+@pytest.mark.parametrize("d", CATALOGUE + _EXTREMES,
+                         ids=lambda d: type(d).__name__ + repr(d)[:40])
+def test_largest_draw_is_the_draw_at_the_top_uniform(d):
+    # inversion is monotone in the uniform, so the top uniform gives the
+    # largest draw exactly; composition picks the last component there and
+    # draws at most the largest of all.  Samplers that overflow to inf at
+    # the top uniform warn; their warnings are not what is checked here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        top = d.largest_draw()
+    assert type(top) is float and d.support()[0] <= top <= d.support()[1]
+    with np.errstate(over="ignore"):
+        got = d.sample(_top_stream(), (2, 3))
+    if isinstance(d, Mixture):
+        assert np.all(got <= top)
+    else:
+        assert np.array_equal(got, np.full((2, 3), top))
+
+
+@given(m=_ANY_LAW.filter(lambda d: isinstance(d, Mixture)))
+@settings(max_examples=100, deadline=None)
+def test_mixture_largest_draw_is_its_components_max(m):
+    with np.errstate(over="ignore"):
+        want = max(leaf.quantile(1.0 - 2.0 ** -53) for leaf in _leaves(m))
+    assert m.largest_draw() == want == max(d.largest_draw() for _, d in m.components)
+
+
+@given(d=_ANY_LAW, seed=st.integers(0, 2**31))
+@settings(max_examples=100, deadline=None)
+def test_draws_never_exceed_the_largest_draw(d, seed):
+    with np.errstate(over="ignore"):
+        x = d.sample(Stream.from_seed(seed, 11), 500)
+    assert np.all(x <= d.largest_draw())

@@ -103,7 +103,7 @@ def test_monotone_in_horizon_shared_seed():
     for m in models:
         for seed in range(5):
             vals = [stationary_sample(m, h, Stream.from_seed(seed))[0]
-                    for h in (3, 10, 100, 2000)]
+                    for h in (3, 10, 100, 2000, 5000)]
             assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
@@ -205,9 +205,22 @@ UNBOUNDED = [ModelSpec(Exponential(1.0), Exponential(1.0)),
 
 
 def _recorded_backward(m, rows, seed, horizon, **kw):
-    t_law, s_law = RecordingLaw(m.interarrival), RecordingLaw(m.service)
+    """The kernel's output, its inter-arrival draws row by row, its service
+    draws with each piece padded to the width of the inter-arrival piece
+    drawn before it, and the count of service draws it made.  The padding
+    is the service law's largest draw, so the oracles see the worst case in
+    every column the kernel drew no service for."""
+    log = []
+    t_law, s_law = RecordingLaw(m.interarrival, log), RecordingLaw(m.service, log)
     got = _backward(ModelSpec(t_law, s_law), rows, Stream.from_seed(seed), horizon, **kw)
-    return got, t_law.rows(), s_law.rows()
+    padded = []
+    for (law, t), (after, s) in zip(log, log[1:] + [(None, None)]):
+        if law is t_law:
+            padded.append(np.full(t.shape, m.service.largest_draw()))
+            if after is s_law:
+                padded[-1][:, :s.shape[1]] = s
+    drawn = sum(s.size for s in s_law.pieces)
+    return got, t_law.rows(), np.concatenate(padded, axis=1), drawn
 
 
 @given(m=st.sampled_from(UNBOUNDED), rows=st.integers(1, 4),
@@ -220,12 +233,12 @@ def test_backward_kernel_rows_match_oracle(m, rows, horizon, block_elems, seed):
     old = engine._BLOCK_ELEMS
     engine._BLOCK_ELEMS = block_elems
     try:
-        (best, last_rec, tail_sums), t, s = _recorded_backward(
+        (best, last_rec, tail_sums), t, s, drawn = _recorded_backward(
             m, rows, seed, horizon, grid=grid)
         one_piece = engine._block(rows, horizon) == horizon
     finally:
         engine._BLOCK_ELEMS = old
-    assert t.shape == s.shape == (rows, horizon)
+    assert t.shape == (rows, horizon) and drawn <= t.size
     sums = np.zeros(horizon)
     for r in range(rows):
         want = backward_oracle(s[r], t[r], horizon)
@@ -251,7 +264,7 @@ def _piecewise_records(m, rows, horizon, block_elems, seed):
     old = engine._BLOCK_ELEMS
     engine._BLOCK_ELEMS = block_elems
     try:
-        (best, last_rec, _), t, s = _recorded_backward(
+        (best, last_rec, _), t, s, _ = _recorded_backward(
             m, rows, seed, horizon, grid=np.arange(1, horizon + 1))
         width = engine._block(rows, horizon)
     finally:
@@ -325,12 +338,41 @@ def test_backward_kernel_whole_blocks_stop_at_supremum(horizon, seed):
     # one path in whole 16-wide blocks stops once its clock passes the
     # service supremum 2; the draws it used give the oracle's value
     m = ModelSpec(Exponential(1.0), Uniform(0.0, 2.0))
-    (best, _, _), t, s = _recorded_backward(m, 1, seed, horizon, s_up=2.0, block=16)
+    (best, _, _), t, s, _ = _recorded_backward(m, 1, seed, horizon, s_up=2.0, block=16)
     assert t.shape[1] % 16 == 0
     used = min(horizon, t.shape[1])
     assert used == horizon or np.sum(t[0, :used]) >= 2.0 - 1e-12
     want = backward_oracle(s[0], t[0], used)[-1]
     assert best[0] == want if used <= 16 else best[0] == pytest.approx(want, rel=1e-12)
+
+
+def test_backward_kernel_draws_services_only_until_the_largest_draw():
+    # timing-free: in the (781, 1000) Exp/Exp pieces of a 50,000-row batch,
+    # every row's clock passes Exp(1)'s largest draw, 36.7, long before the
+    # piece ends, and no service is drawn past that column
+    m, rows, horizon = ModelSpec(Exponential(1.0), Exponential(1.0)), 781, 1000
+    assert engine._block(rows, horizon) == horizon
+    (best, last_rec, _), t, s, drawn = _recorded_backward(
+        m, rows, 3, horizon, grid=_residual_grid(horizon))
+    assert t.shape == s.shape == (rows, horizon)
+    assert drawn <= 0.1 * t.size
+    for r in range(rows):
+        want_best, want_last = piecewise_backward_oracle(s[r], t[r], horizon, horizon)
+        assert best[r].tobytes() == np.float64(want_best).tobytes()
+        assert last_rec[r] == want_last
+
+
+@pytest.mark.parametrize("block", [None, 16])
+def test_backward_kernel_infinite_largest_draw_draws_every_service(block):
+    # Pareto(0.01) overflows to inf at the top uniforms, so no clock passes
+    # its largest draw and every column gets its service.  The overflow
+    # warnings of its sampler are not what is checked here.
+    m = ModelSpec(Exponential(1.0), Pareto(0.01, 1.0))
+    assert m.service.largest_draw() == math.inf
+    with np.errstate(over="ignore"):
+        _, t, _, drawn = _recorded_backward(m, 3, 4, 100, block=block,
+                                            grid=_residual_grid(100))
+    assert drawn == t.size >= 3 * 100
 
 
 class _StubArrivals:
