@@ -17,10 +17,8 @@ from .dists import (
 )
 from .engine import ModelSpec, PathSample, Gg1Path, simulate_path, simulate_gg1
 from .loynes import (
-    BackwardSample,
     StationaryBatch,
     StationaryWindow,
-    backward_maxdater,
     stationary_batch,
     stationary_sample,
     stationary_window,

@@ -23,7 +23,8 @@ scalar, evaluated as a one-element array; ``quantile`` rejects p outside
 the law's ``_sample`` kernel a size, so a scalar draw is the first of a
 one-element draw.  A ``_sample`` kernel owns the uniform piece it draws and
 may invert it in place (``Exponential`` divides log1p(-u) by -rate, bitwise
-``_quantile``'s -log1p(-p) / rate since IEEE division is sign-symmetric).
+``_quantile``'s -log1p(-p) / rate since IEEE division is sign-symmetric;
+``Pareto`` raises 1 - u to its power and scales it, the same operations).
 ``_quantile`` never writes to its input, which through ``quantile`` may be
 the caller's array.
 
@@ -334,6 +335,13 @@ class Pareto(Distribution, kind="pareto"):
 
     def _quantile(self, p):
         return self.scale * (1.0 - p) ** (-1.0 / self.alpha)
+
+    def _sample(self, stream, size):
+        u = stream.uniform_open(size)  # _quantile in place
+        np.subtract(1.0, u, out=u)
+        u **= -1.0 / self.alpha  # the same scalar-power path as ** takes
+        u *= self.scale
+        return u
 
     def mean(self) -> float:
         if self.alpha <= 1.0:

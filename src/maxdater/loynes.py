@@ -12,9 +12,13 @@ samplers here return the truncated value together with a residual
 diagnostic, and raise ``DivergenceSuspected`` when trajectories keep
 setting fresh records late into the horizon.
 
-For service laws with bounded support the construction is exact: once
-Tt_{j-1} is past the essential supremum of the service law no later term
-can win, so the truncated value *is* a perfect stationary draw.
+Once Tt_{j-1} has passed the largest service draw no later term can win,
+so the running maximum there *is* a perfect stationary draw: exact for the
+sampler's law, whose service draws stop at Q(1 - 2**-53) (under the true
+Exp/Exp law the remainder is about 2 * 2**-53).  ``stationary_batch`` runs
+this absorbing scan for bounded service and for every law whose largest
+draw the clocks pass within the horizon, such as Exp(1) (36.74); heavy
+tails such as Pareto(2.5) (2.4e6) keep the horizon scan.
 """
 
 from __future__ import annotations
@@ -29,13 +33,11 @@ from .engine import _BLOCK_ELEMS, ModelSpec, _block, _endpoints, _epochs, _passi
 from .streams import Stream, run_chunked
 
 __all__ = [
-    "BackwardSample",
     "StationaryBatch",
     "StationaryWindow",
     "TvReport",
     "DivergenceConfig",
     "DivergenceSuspected",
-    "backward_maxdater",
     "stationary_batch",
     "stationary_sample",
     "stationary_window",
@@ -68,16 +70,6 @@ class DivergenceConfig:
     window_fraction: float = 0.1
     vote: float = 0.5
     pilot: int = 100
-
-
-@dataclass
-class BackwardSample:
-    """Backward construction over explicitly supplied reversed drivers."""
-
-    horizon: int
-    terms: np.ndarray
-    values: np.ndarray
-    residual_bound: Optional[float] = None
 
 
 @dataclass
@@ -115,28 +107,6 @@ class TvReport:
     null_sd: float
     bins: int
     reps: int
-
-
-def backward_maxdater(s_rev, t_rev, n: int) -> BackwardSample:
-    """Running maxima of st_j - Tt_{j-1} for j = 1..n.
-
-    ``s_rev`` and ``t_rev`` are the reversed service and inter-arrival
-    sequences; only the first n services and first n-1 inter-arrivals are
-    used.  Single O(n) pass.
-    """
-    s_rev = np.asarray(s_rev, dtype=float)
-    t_rev = np.asarray(t_rev, dtype=float)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if len(s_rev) < n or len(t_rev) < n - 1:
-        raise ValueError("need n services and n-1 inter-arrivals")
-    tprev = np.empty(n)
-    tprev[0] = 0.0
-    if n > 1:
-        np.cumsum(t_rev[: n - 1], out=tprev[1:])
-    terms = s_rev[:n] - tprev
-    values = np.maximum(np.maximum.accumulate(terms), 0.0)
-    return BackwardSample(horizon=n, terms=terms, values=values)
 
 
 def _residual_grid(horizon: int) -> np.ndarray:
@@ -195,7 +165,7 @@ def _backward(m: ModelSpec, rows: int, stream: Stream, horizon: float, *,
     absorb = math.isinf(horizon)
     if absorb:
         horizon, median = _passing_steps(m, s_up, rows, "the absorbing scan",
-                                         "the service supremum")
+                                         "the largest service draw")
     tail_sums = np.zeros(0 if grid is None else len(grid))
     s_top = m.service.largest_draw()
     # the running rows' state, compacted when rows stop
@@ -224,7 +194,7 @@ def _backward(m: ModelSpec, rows: int, stream: Stream, horizon: float, *,
         if grid is not None:
             for gi in np.nonzero((grid > j0) & (grid <= j0 + use))[0]:
                 tail_sums[gi] += float(np.sum(m.service.tail(cum[:, grid[gi] - j0 - 1])))
-        offset = cum[:, use - 1]
+        offset = cum[:, use - 1].copy()  # a view would keep the piece alive
         j0 += use
         stop = offset >= s_up
         if stop.any():
@@ -232,14 +202,28 @@ def _backward(m: ModelSpec, rows: int, stream: Stream, horizon: float, *,
             ids, best, offset, last_rec = (a[~stop] for a in (ids, best, offset, last_rec))
     if absorb and len(ids):
         raise RuntimeError(
-            f"{len(ids)} of {rows} reversed clocks stayed below the service "
-            f"supremum {s_up} for {horizon} steps: the inter-arrival law draws "
+            f"{len(ids)} of {rows} reversed clocks stayed below the largest "
+            f"service draw {s_up} for {horizon} steps: the inter-arrival law draws "
             f"below its median {median} more often than half the time")
     if done:  # back to row order
         done.append((ids, best, last_rec))
         order = np.argsort(np.concatenate([d[0] for d in done]))
         best, last_rec = (np.concatenate([d[i] for d in done])[order] for i in (1, 2))
     return np.maximum(best, 0.0), last_rec, tail_sums
+
+
+def _passes_within(m: ModelSpec, s_up: float, rows: int, horizon: int) -> bool:
+    """Whether the absorbing scan's bound on the steps ``rows`` clocks take
+    to pass ``s_up`` is within ``horizon``.  False where it has no bound:
+    an infinite ``s_up`` or a nonpositive inter-arrival median."""
+    if not math.isfinite(s_up):
+        return False
+    try:
+        steps, _ = _passing_steps(m, s_up, rows, "the absorbing scan",
+                                  "the largest service draw")
+    except ValueError:
+        return False
+    return steps <= horizon
 
 
 def stationary_batch(
@@ -254,16 +238,20 @@ def stationary_batch(
 ) -> StationaryBatch:
     """``reps`` independent truncated stationary draws.
 
-    Bounded service laws get the exact absorbing construction
-    (residual_bound 0); unbounded laws run to ``horizon`` and report the
-    extrapolated residual bound on P(truncated value != limit).
+    The exact absorbing construction (residual_bound 0), run until every
+    clock has passed the largest service draw, serves bounded service and
+    every law whose largest draw the clocks are sure to pass within
+    ``horizon`` steps (the scan's own bound, ``_passing_steps``).  Other
+    laws run to ``horizon`` and report the extrapolated residual bound on
+    P(truncated value != limit).
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    _, s_up = m.service.support()
-    if math.isfinite(s_up):
+    _, sup = m.service.support()
+    s_up = min(sup, m.service.largest_draw())  # no term past it is a record
+    if math.isfinite(sup) or _passes_within(m, s_up, reps, horizon):
         # absorbing paths mostly stop within a few draws: narrow pieces
         parts = run_chunked(
             lambda st, start, count: _backward(
@@ -305,14 +293,17 @@ def stationary_sample(
     an independent single construction (second child) drawn in whole
     4096-wide blocks, so on a fixed seed it is non-decreasing in the horizon.
     Each block's service piece is cut where its clock passes the largest
-    service draw, found over the whole block, never from the horizon.
+    service draw, found over the whole block, never from the horizon, and
+    the draw stops after the block in which it passes: every later term is
+    negative, so the value is the limit whatever the horizon.
     """
     batch = stationary_batch(
         m, horizon, max(1, divergence.pilot), stream.child(0),
         divergence=divergence,
     )
-    best, _, _ = _backward(m, 1, stream.child(1), horizon,
-                           s_up=m.service.support()[1], block=_BLOCK_ELEMS >> 8)
+    s_up = min(m.service.support()[1], m.service.largest_draw())
+    best, _, _ = _backward(m, 1, stream.child(1), horizon, s_up=s_up,
+                           block=_BLOCK_ELEMS >> 8)
     return float(best[0]), float(batch.residual_bound)
 
 

@@ -9,6 +9,7 @@ sampling.  Tests compare the fast implementations against these.
 import itertools
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -45,6 +46,38 @@ def backward_oracle(s_rev, t_rev, n):
             best = max(best, s_rev[j - 1] - tprev)
         out[k - 1] = best
     return out
+
+
+@dataclass
+class BackwardSample:
+    """Backward construction over explicitly supplied reversed drivers."""
+
+    horizon: int
+    terms: np.ndarray
+    values: np.ndarray
+
+
+def backward_maxdater(s_rev, t_rev, n: int) -> BackwardSample:
+    """Running maxima of st_j - Tt_{j-1} for j = 1..n, in one O(n) pass of
+    whole-array numpy operations (the kernel scans in pieces).
+
+    ``s_rev`` and ``t_rev`` are the reversed service and inter-arrival
+    sequences; only the first n services and first n-1 inter-arrivals are
+    used.
+    """
+    s_rev = np.asarray(s_rev, dtype=float)
+    t_rev = np.asarray(t_rev, dtype=float)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if len(s_rev) < n or len(t_rev) < n - 1:
+        raise ValueError("need n services and n-1 inter-arrivals")
+    tprev = np.empty(n)
+    tprev[0] = 0.0
+    if n > 1:
+        np.cumsum(t_rev[: n - 1], out=tprev[1:])
+    terms = s_rev[:n] - tprev
+    values = np.maximum(np.maximum.accumulate(terms), 0.0)
+    return BackwardSample(horizon=n, terms=terms, values=values)
 
 
 def piecewise_backward_oracle(s_rev, t_rev, n, width):

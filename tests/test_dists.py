@@ -505,6 +505,21 @@ def test_exponential_draws_are_its_quantiles(rate):
         assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
 
 
+@given(alpha=st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.01, 20.0)),
+       scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**31))
+@settings(max_examples=100, deadline=None)
+def test_pareto_draws_are_its_quantiles(alpha, scale, seed):
+    # the sampler raises 1 - u to its power in place; **= takes the same
+    # scalar-power path as **, so the bits agree.  Small indices overflow
+    # to inf on both sides.
+    d = Pareto(alpha, scale)
+    with np.errstate(over="ignore"):
+        for size in (None, (3, 200)):
+            got = d.sample(Stream.from_seed(seed, 4), size)
+            want = d._quantile(np.atleast_1d(Stream.from_seed(seed, 4).uniform_open(size)))
+            assert np.array_equal(np.atleast_1d(got).view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("d", CATALOGUE, ids=lambda d: type(d).__name__ + repr(d)[:30])
 def test_quantile_leaves_its_input_alone(d):
     # sampling kernels may invert their own uniforms in place; quantile

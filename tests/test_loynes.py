@@ -14,22 +14,25 @@ from maxdater.dists import (
     Deterministic,
     DiscreteUniform,
     Exponential,
+    Mixture,
     Pareto,
     Uniform,
 )
+from maxdater.engine import _passing_steps
 from maxdater.loynes import (
     DivergenceSuspected,
     _backward,
     _residual_grid,
-    backward_maxdater,
     stationary_batch,
     stationary_sample,
     stationary_window,
     tv_discrepancy,
 )
+from maxdater.streams import run_chunked
 
 from support import (
     RecordingLaw,
+    backward_maxdater,
     backward_oracle,
     enumerate_discrete_stationary,
     piecewise_backward_oracle,
@@ -103,15 +106,21 @@ def test_monotone_in_horizon_shared_seed():
     for m in models:
         for seed in range(5):
             vals = [stationary_sample(m, h, Stream.from_seed(seed))[0]
-                    for h in (3, 10, 100, 2000, 5000)]
+                    for h in (3, 10, 100, 2000, 5000, 50_000)]
             assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
 def test_residual_bound_light_tail():
+    # below the absorbing scan's bound (344 steps for 200 clocks to pass
+    # Exp(1)'s largest draw) the horizon scan fits the residual; at 2000
+    # the batch is exact
     m = ModelSpec(Exponential(1.0), Exponential(1.0))
-    batch = stationary_batch(m, 2000, 200, Stream.from_seed(5))
+    batch = stationary_batch(m, 300, 200, Stream.from_seed(5))
     assert not batch.exact
     assert 0.0 <= batch.residual_bound < 1e-6
+    batch = stationary_batch(m, 2000, 200, Stream.from_seed(5))
+    assert batch.exact
+    assert batch.residual_bound == 0.0
 
 
 def test_divergence_trips_on_heavy_service():
@@ -399,3 +408,88 @@ def test_absorbing_scan_bound_names_the_median():
     batch = stationary_batch(ModelSpec(_StubArrivals(1.0, 1.0), Uniform(0.0, 8.0)),
                              10, 10, Stream.from_seed(0))
     assert batch.exact and np.all(batch.values <= 8.0)
+
+
+# ------------------------------------------- absorbing at the largest draw
+
+EXP_EXP = ModelSpec(Exponential(1.0), Exponential(1.0))
+
+
+def _passing_bound(m, rows):
+    return _passing_steps(m, m.service.largest_draw(), rows, "", "")[0]
+
+
+def test_light_tail_batch_matches_the_closed_form():
+    # Exp/Exp: M/G/inf, whose stationary workload has cdf
+    # (1 - e^-x) exp(-e^-x) (the newest job's service, and the residuals
+    # of the older ones at the points of a unit Poisson process)
+    batch = stationary_batch(EXP_EXP, 1000, 100_000, Stream.from_seed(40))
+    assert batch.exact and batch.residual_bound == 0.0
+    cdf = lambda x: (1.0 - np.exp(-x)) * np.exp(-np.exp(-x))
+    assert stats.kstest(batch.values, cdf).pvalue > 0.01
+
+
+@pytest.mark.parametrize("m", [
+    ModelSpec(Uniform(0.5, 1.5), Exponential(0.7)),
+    ModelSpec(Deterministic(1.0), Exponential(1.0)),
+    ModelSpec(Exponential(2.0),
+              Mixture(((0.5, Exponential(3.0)), (0.5, Exponential(1.0))))),
+], ids=["unif_exp", "det_exp", "exp_mixexp"])
+def test_light_tail_batch_matches_the_horizon_scan(m):
+    # the absorbing route against the plain horizon-1,000 scan, which draws
+    # every term to the horizon and never stops a row
+    reps = 20_000
+    batch = stationary_batch(m, 1000, reps, Stream.from_seed(41))
+    assert batch.exact and _passing_bound(m, reps) <= 1000
+    scan = _backward(m, reps, Stream.from_seed(42), 1000)[0]
+    assert stats.ks_2samp(batch.values, scan).pvalue > 0.01
+
+
+@pytest.mark.parametrize("m", [EXP_EXP, ModelSpec(Exponential(2.0), Exponential(3.0))],
+                         ids=["exp_exp", "exp2_exp3"])
+def test_route_flips_at_the_passing_bound(m):
+    reps = 200
+    n = _passing_bound(m, reps)
+    below = stationary_batch(m, n - 1, reps, Stream.from_seed(43))
+    at = stationary_batch(m, n, reps, Stream.from_seed(43))
+    assert not below.exact and at.exact and at.residual_bound == 0.0
+    assert at.horizon == n
+
+
+def test_heavy_tail_keeps_the_horizon_scan():
+    # Pareto(2.5)'s largest draw, 2.4e6, is far past a horizon-2000 clock:
+    # the batch is the horizon scan's, chunk for chunk
+    m = ModelSpec(Exponential(1.0), Pareto(2.5, 1.0))
+    assert m.service.largest_draw() > 2e6
+    batch = stationary_batch(m, 2000, 500, Stream.from_seed(44))
+    assert not batch.exact
+    grid = _residual_grid(2000)
+    parts = run_chunked(lambda st, start, count: _backward(m, count, st, 2000, grid=grid)[0],
+                        500, Stream.from_seed(44))
+    assert np.concatenate(parts).tobytes() == batch.values.tobytes()
+
+
+def test_route_needs_a_positive_median():
+    # no passing bound without a positive inter-arrival median: unbounded
+    # service falls back to the horizon scan instead of raising
+    m = ModelSpec(_StubArrivals(0.0, 1.0), Exponential(1.0))
+    batch = stationary_batch(m, 50, 10, Stream.from_seed(0))
+    assert not batch.exact and np.all(batch.values > 0.0)
+
+
+def test_backward_kernel_frees_the_carried_epochs():
+    # timing-free: a one-row scan over three 2**20-wide pieces carries one
+    # epoch, not the piece it came from, into the next piece.  Pareto
+    # inverts its uniforms in place; with a view the scan held 4.0 pieces
+    # at the next service draw, with the copy 3.0.
+    m, piece = ModelSpec(Exponential(1.0), Pareto(2.5, 1.0)), 1 << 20
+    assert engine._block(1, 3 * piece) == piece
+    _backward(m, 1, Stream.from_seed(3), 3 * piece)
+    tracemalloc.start()
+    try:
+        _backward(m, 1, Stream.from_seed(3), 3 * piece)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * piece * 8
+
