@@ -10,6 +10,12 @@ convergence or divergence is the actual criterion:
   transience series    S_n = sum_{m<=n} E exp(-sum_{i<m} Fbar_s(y + T_i))
   recurrence series    S_n = sum_{m<=n} E exp(-c sum_{i<=m} Fbar_s(w0 + T_i)),  c > 1
 
+All three sum Fbar_s(shift + T_k) over the arrival epochs T_k, so
+``classify`` draws the epochs once, from its stream's child 0, for every
+series (the default y = w0 also shares one tail evaluation).  Each series
+keeps its estimator, grid and reps and is tested on its own, bit for bit
+the public series run alone on child 0; only the estimates correlate.
+
 A finite simulation cannot decide convergence, so verdicts come from a
 log-log slope test on the partial sums over the last decade of n, with
 an increment floor separating "still climbing" from "numerically flat";
@@ -177,52 +183,50 @@ def _series_verdict(grid, sums, thr: SeriesThresholds):
     return SeriesVerdict.INCONCLUSIVE, slope
 
 
-def _grid_tail_sums(m: ModelSpec, counts: np.ndarray, count: int,
-                    stream: Stream, shift: float) -> np.ndarray:
-    """Per-path cumulative sums of Fbar_service(shift + T_k) recorded after
-    ``counts[j]`` terms.  counts must be non-decreasing; a zero count means
-    the empty sum.  Returns an array of shape (count, len(counts))."""
-    n_terms = int(counts[-1])
-    out = np.zeros((count, len(counts)))  # zero counts stay 0
+def _grid_tail_sums(m: ModelSpec, n_terms: int, specs: tuple, count: int,
+                    stream: Stream) -> list:
+    """Per-path cumulative sums of Fbar_service(shift + T_k) over one draw
+    of ``n_terms`` arrival epochs, for each (shift, counts) spec: recorded
+    after ``counts[j]`` terms (non-decreasing, at most n_terms; a zero count
+    means the empty sum).  Each piece evaluates the tail once per distinct
+    shift.  Returns one (count, len(counts)) array per spec."""
+    outs = [np.zeros((count, len(counts))) for _, counts in specs]  # zero counts stay 0
+    acc = {shift: np.zeros(count) for shift, _ in specs}
     block = _block(count, n_terms)
-    acc = np.zeros(count)
     offset = np.zeros(count)
     for k0 in range(0, n_terms, block):
         length = min(block, n_terms - k0)
-        t = m.interarrival.sample(stream, (count, length))
-        cum = _epochs(t, offset)
-        g = np.cumsum(m.service.tail(shift + cum), axis=1)
-        g += acc[:, None]
-        here = (counts > k0) & (counts <= k0 + length)
-        out[:, here] = g[:, counts[here] - k0 - 1]
-        acc = g[:, -1]
-        offset = cum[:, -1]
-    return out
+        cum = _epochs(m.interarrival.sample(stream, (count, length)), offset)
+        for shift in acc:
+            g = np.cumsum(m.service.tail(shift + cum), axis=1)
+            g += acc[shift][:, None]
+            for (at, counts), out in zip(specs, outs):
+                if at == shift:
+                    here = (counts > k0) & (counts <= k0 + length)
+                    out[:, here] = g[:, counts[here] - k0 - 1]
+            acc[shift] = g[:, -1].copy()  # views would keep the pieces alive
+        offset = cum[:, -1].copy()
+    return outs
 
 
-def _det_grid_tail_sums(m: ModelSpec, counts: np.ndarray, shift: float) -> np.ndarray:
-    """Deterministic arrivals make T_k = k*r exact; no sampling needed."""
-    r = m.interarrival.value
-    n_terms = int(counts[-1])
-    sums = np.concatenate([[0.0], np.cumsum(
-        m.service.tail(shift + r * np.arange(1, n_terms + 1)))])
-    return sums[counts.astype(np.int64)][None, :]
-
-
-def _tail_sums(m: ModelSpec, counts: np.ndarray, shift: float, reps: int,
-               stream: Stream, threads: int) -> np.ndarray:
-    """Sums of Fbar_service(shift + T_k) after ``counts[j]`` terms, one row
-    per path: ``reps`` sampled paths, or the one exact path when arrivals
-    are deterministic."""
+def _tail_sums(m: ModelSpec, n_terms: int, specs: tuple, reps: int,
+               stream: Stream, threads: int) -> list:
+    """``_grid_tail_sums`` over ``reps`` paths, or over the one exact path
+    T_k = k*r when arrivals are deterministic."""
     if isinstance(m.interarrival, Deterministic):
-        return _det_grid_tail_sums(m, counts, shift)
+        epochs = m.interarrival.value * np.arange(1, n_terms + 1)
+        out = []
+        for shift, counts in specs:
+            sums = np.concatenate([[0.0], np.cumsum(m.service.tail(shift + epochs))])
+            out.append(sums[counts][None, :])
+        return out
     if stream is None:
         raise ValueError("a stream is required for random arrivals")
     parts = run_chunked(
-        lambda st, start, count: _grid_tail_sums(m, counts, count, st, shift),
+        lambda st, start, count: _grid_tail_sums(m, n_terms, specs, count, st),
         reps, stream, threads=threads,
     )
-    return np.concatenate(parts, axis=0)
+    return [np.concatenate(p, axis=0) for p in zip(*parts)]
 
 
 def _trapezoid_partial_sums(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -236,6 +240,67 @@ def _trapezoid_partial_sums(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _diagnostic(kind: SeriesKind, params: dict, grid: np.ndarray,
+                sums: np.ndarray, thr: SeriesThresholds,
+                n_max: int) -> SeriesDiagnostic:
+    """A series' diagnostic from its per-path sums.  Tail series paths are
+    exact given their epochs and each votes; the other two average
+    exp(-c * sums), c = 1 for transience, over paths first."""
+    votes, values = {}, None
+    if kind is SeriesKind.TAIL:
+        verdicts = [_series_verdict(grid, row, thr)[0] for row in sums]
+        vc = sum(v is SeriesVerdict.CONVERGES for v in verdicts) / len(verdicts)
+        vd = sum(v is SeriesVerdict.DIVERGES for v in verdicts) / len(verdicts)
+        votes = dict(votes_converge=vc, votes_diverge=vd)
+        partial = np.median(sums, axis=0)
+        _, slope = _series_verdict(grid, partial, thr)
+        verdict = (SeriesVerdict.CONVERGES if vc >= thr.vote_majority else
+                   SeriesVerdict.DIVERGES if vd >= thr.vote_majority else
+                   SeriesVerdict.INCONCLUSIVE)
+    else:
+        values = np.mean(np.exp(-params.get("c", 1.0) * sums), axis=0)
+        partial = _trapezoid_partial_sums(grid, values)
+        verdict, slope = _series_verdict(grid, partial, thr)
+    return SeriesDiagnostic(
+        kind=kind, grid=grid, partial_sums=partial, slope=slope, verdict=verdict,
+        params=dict(params), values=values, reps=len(sums), n_max=n_max, **votes)
+
+
+def _series(m: ModelSpec, series: tuple, n_max: int, reps: int,
+            stream: Stream, thresholds: SeriesThresholds,
+            threads: int) -> list:
+    """Diagnostics of (kind, shift, params) series from one draw of ``reps``
+    paths of epochs T_1..T_N, N the grid's last point.  At grid point n the
+    transience summand takes n - 1 terms, the other two n."""
+    if n_max < 1_000:
+        raise ValueError("n_max must be >= 1000")
+    if reps < 100:
+        raise ValueError("reps must be >= 100")
+    grid = _log_grid(n_max)
+    specs = tuple((shift, grid - 1 if kind is SeriesKind.TRANSIENCE else grid)
+                  for kind, shift, _ in series)
+    sums = _tail_sums(m, int(grid[-1]), specs, reps, stream, threads)
+    return [_diagnostic(kind, params, grid, s, thresholds, n_max)
+            for (kind, _, params), s in zip(series, sums)]
+
+
+_TAIL = (SeriesKind.TAIL, 0.0, {})
+
+
+def _transience(y: float) -> tuple:
+    if y < 0:
+        raise ValueError("y must be non-negative")
+    return SeriesKind.TRANSIENCE, y, {"y": y}
+
+
+def _recurrence(w0: float, c: float) -> tuple:
+    if not c > 1.0:
+        raise ValueError("c must exceed 1")
+    if w0 < 0:
+        raise ValueError("w0 must be non-negative")
+    return SeriesKind.RECURRENCE, w0, {"w0": w0, "c": c}
+
+
 def tail_series(m: ModelSpec, n_max: int, reps: int, stream: Stream = None,
                 *, thresholds: SeriesThresholds = SeriesThresholds(),
                 threads: int = 1) -> SeriesDiagnostic:
@@ -245,49 +310,7 @@ def tail_series(m: ModelSpec, n_max: int, reps: int, stream: Stream = None,
     Per-path trajectories are exact given the sampled arrival epochs (the
     summands are analytic tails, not indicator estimates).
     """
-    _check_series_args(n_max, reps)
-    grid = _log_grid(n_max)
-    sums = _tail_sums(m, grid, 0.0, reps, stream, threads)
-    votes = [_series_verdict(grid, row, thresholds)[0] for row in sums]
-    vc = sum(v is SeriesVerdict.CONVERGES for v in votes) / len(votes)
-    vd = sum(v is SeriesVerdict.DIVERGES for v in votes) / len(votes)
-    median = np.median(sums, axis=0)
-    _, slope = _series_verdict(grid, median, thresholds)
-    if vc >= thresholds.vote_majority:
-        verdict = SeriesVerdict.CONVERGES
-    elif vd >= thresholds.vote_majority:
-        verdict = SeriesVerdict.DIVERGES
-    else:
-        verdict = SeriesVerdict.INCONCLUSIVE
-    return SeriesDiagnostic(
-        kind=SeriesKind.TAIL, grid=grid, partial_sums=median, slope=slope,
-        verdict=verdict, params={}, votes_converge=vc, votes_diverge=vd,
-        reps=len(sums), n_max=n_max,
-    )
-
-
-def _exp_series(m: ModelSpec, shift: float, factor: float, inner_offset: int,
-                kind: SeriesKind, params: dict, n_max: int, reps: int,
-                stream: Stream, thresholds: SeriesThresholds,
-                threads: int) -> SeriesDiagnostic:
-    """Shared estimator for the two exponential-of-partial-sum series.
-
-    The summand at index n is E exp(-factor * sum over the first
-    n + inner_offset terms of Fbar_service(shift + T_i)); inner_offset is
-    -1 for the transience series and 0 for the recurrence series.
-    """
-    _check_series_args(n_max, reps)
-    grid = _log_grid(n_max)
-    sums = _tail_sums(m, np.maximum(grid + inner_offset, 0), shift, reps,
-                      stream, threads)
-    values = np.mean(np.exp(-factor * sums), axis=0)
-    partial = _trapezoid_partial_sums(grid, values)
-    verdict, slope = _series_verdict(grid, partial, thresholds)
-    return SeriesDiagnostic(
-        kind=kind, grid=grid, partial_sums=partial, slope=slope,
-        verdict=verdict, params=params, values=values,
-        reps=len(sums), n_max=n_max,
-    )
+    return _series(m, (_TAIL,), n_max, reps, stream, thresholds, threads)[0]
 
 
 def transience_series(m: ModelSpec, y: float, n_max: int, reps: int,
@@ -296,10 +319,8 @@ def transience_series(m: ModelSpec, y: float, n_max: int, reps: int,
                       threads: int = 1) -> SeriesDiagnostic:
     """Series whose convergence certifies transience: summands
     a_n = E exp(-sum_{i<n} Fbar_service(y + T_i)), a_1 = 1."""
-    if y < 0:
-        raise ValueError("y must be non-negative")
-    return _exp_series(m, y, 1.0, -1, SeriesKind.TRANSIENCE, {"y": y},
-                       n_max, reps, stream, thresholds, threads)
+    return _series(m, (_transience(y),), n_max, reps, stream, thresholds,
+                   threads)[0]
 
 
 def recurrence_series(m: ModelSpec, w0: float, c: float, n_max: int, reps: int,
@@ -308,19 +329,8 @@ def recurrence_series(m: ModelSpec, w0: float, c: float, n_max: int, reps: int,
                       threads: int = 1) -> SeriesDiagnostic:
     """Series whose divergence certifies Harris recurrence: summands
     b_n = E exp(-c sum_{i<=n} Fbar_service(w0 + T_i)) for some c > 1."""
-    if not c > 1.0:
-        raise ValueError("c must exceed 1")
-    if w0 < 0:
-        raise ValueError("w0 must be non-negative")
-    return _exp_series(m, w0, c, 0, SeriesKind.RECURRENCE, {"w0": w0, "c": c},
-                       n_max, reps, stream, thresholds, threads)
-
-
-def _check_series_args(n_max: int, reps: int) -> None:
-    if n_max < 1_000:
-        raise ValueError("n_max must be >= 1000")
-    if reps < 100:
-        raise ValueError("reps must be >= 100")
+    return _series(m, (_recurrence(w0, c),), n_max, reps, stream, thresholds,
+                   threads)[0]
 
 
 def occupation_estimate(m: ModelSpec, x: float, y: float, horizon: int,
@@ -439,15 +449,14 @@ def classify(m: ModelSpec, cfg: ClassifierConfig = None,
 
     w0 = cfg.w0 if cfg.w0 is not None else m.service.quantile(0.5)
     y = cfg.y if cfg.y is not None else w0
-    thr = cfg.thresholds
-    kw = dict(thresholds=thr, threads=cfg.threads)
+    # one sample of arrival epochs feeds every series
+    pair = (_transience(y), _recurrence(w0, cfg.c))
+    run = dict(n_max=cfg.n_max, reps=cfg.reps, stream=stream.child(0),
+               thresholds=cfg.thresholds, threads=cfg.threads)
 
     if definitive:
-        tail = tail_series(m, cfg.n_max, cfg.reps, stream.child(0), **kw)
-        trans = transience_series(m, y, cfg.n_max, cfg.reps, stream.child(1), **kw)
-        rec = recurrence_series(m, w0, cfg.c, cfg.n_max, cfg.reps, stream.child(2), **kw)
-        diags = [tail, trans, rec]
-        mc = _combine_mc(tail, trans, rec)
+        diags = _series(m, (_TAIL,) + pair, **run)
+        mc = _combine_mc(*diags)
         notes = analytic.notes
         if mc is not analytic.verdict:
             notes += ("; series diagnostics read {} (numerical evidence "
@@ -457,34 +466,27 @@ def classify(m: ModelSpec, cfg: ClassifierConfig = None,
 
     if analytic is not None:
         # positive recurrence excluded analytically; series separate the rest
-        trans = transience_series(m, y, cfg.n_max, cfg.reps, stream.child(1), **kw)
-        rec = recurrence_series(m, w0, cfg.c, cfg.n_max, cfg.reps, stream.child(2), **kw)
-        diags = [trans, rec]
-        if trans.verdict is SeriesVerdict.CONVERGES and rec.verdict is not SeriesVerdict.DIVERGES:
-            return ClassificationReport(
-                verdict=Verdict.TRANSIENT, source=Source.BOTH, diagnostics=diags,
-                notes=analytic.notes + "; transience series converges "
-                      "(numerical evidence)")
-        if rec.verdict is SeriesVerdict.DIVERGES and trans.verdict is not SeriesVerdict.CONVERGES:
-            return ClassificationReport(
-                verdict=Verdict.NULL_RECURRENT, source=Source.BOTH, diagnostics=diags,
-                notes=analytic.notes + "; recurrence series diverges "
-                      "(numerical evidence)")
-        return ClassificationReport(
-            verdict=Verdict.INCONCLUSIVE, source=Source.BOTH, diagnostics=diags,
-            notes=analytic.notes + "; series diagnostics did not separate "
-                  "transient from null recurrent")
+        diags = _series(m, pair, **run)
+        trans, rec = (d.verdict for d in diags)
+        if trans is SeriesVerdict.CONVERGES and rec is not SeriesVerdict.DIVERGES:
+            verdict, how = Verdict.TRANSIENT, "transience series converges (numerical evidence)"
+        elif rec is SeriesVerdict.DIVERGES and trans is not SeriesVerdict.CONVERGES:
+            verdict, how = (Verdict.NULL_RECURRENT,
+                            "recurrence series diverges (numerical evidence)")
+        else:
+            verdict, how = (Verdict.INCONCLUSIVE, "series diagnostics did not "
+                            "separate transient from null recurrent")
+        return ClassificationReport(verdict=verdict, source=Source.BOTH, diagnostics=diags,
+                                    notes=analytic.notes + "; " + how)
 
-    tail = tail_series(m, cfg.n_max, cfg.reps, stream.child(0), **kw)
+    diags = _series(m, (_TAIL,) + pair, **run)
+    tail, trans, rec = diags
     if tail.verdict is SeriesVerdict.CONVERGES:
         return ClassificationReport(
             verdict=Verdict.POSITIVE_RECURRENT, source=Source.MONTE_CARLO,
             diagnostics=[tail],
             notes="tail series converges on a {:.0%} vote (numerical "
                   "evidence)".format(tail.votes_converge))
-    trans = transience_series(m, y, cfg.n_max, cfg.reps, stream.child(1), **kw)
-    rec = recurrence_series(m, w0, cfg.c, cfg.n_max, cfg.reps, stream.child(2), **kw)
-    diags = [tail, trans, rec]
     verdict = _combine_mc(tail, trans, rec)
     notes = ("tail series {}; transience series {}; recurrence series {} "
              "(numerical evidence)").format(
@@ -518,18 +520,16 @@ def _prob_breaks(d: Distribution) -> list:
         out.update(k / n for k in range(1, n))
     elif isinstance(d, TruncatedParetoOne):
         out.add(1.0 - d.d1 / d.x0)
-    elif isinstance(d, Mixture):
-        for _, comp in d.components:
-            lo, hi = comp.support()
-            xs = [b for b in comp._breakpoints() if math.isfinite(b)]
-            xs += [z for z in (lo, hi) if math.isfinite(z) and z > 0]
-            out.update(float(d.cdf(x)) for x in xs)
     return sorted(p for p in out if 0.0 < p < 1.0)
 
 
 def _j_value(num: Distribution, den: Distribution, quad_tol: float) -> float:
     """E[ A / m(A) ] with A ~ num and m the truncated mean of den,
-    integrated in probability space so atoms come out exact."""
+    integrated in probability space so atoms come out exact.  The integral
+    is linear in the law of A, so a mixture is the weighted sum of its
+    components' integrals, each in its own probability space."""
+    if isinstance(num, Mixture):
+        return math.fsum(w * _j_value(comp, den, quad_tol) for w, comp in num.components)
     from scipy import integrate
 
     def integrand(p: float) -> float:

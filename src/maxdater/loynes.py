@@ -195,6 +195,7 @@ def _backward(m: ModelSpec, rows: int, stream: Stream, horizon: float, *,
             for gi in np.nonzero((grid > j0) & (grid <= j0 + use))[0]:
                 tail_sums[gi] += float(np.sum(m.service.tail(cum[:, grid[gi] - j0 - 1])))
         offset = cum[:, use - 1].copy()  # a view would keep the piece alive
+        cum = terms = None  # free both pieces before the next is drawn
         j0 += use
         stop = offset >= s_up
         if stop.any():

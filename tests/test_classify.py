@@ -1,6 +1,7 @@
 """Phase classification: analytic pattern table, series diagnostics,
 occupation counts, and the single-server comparison."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from maxdater.classify import (
     SeriesVerdict,
     Verdict,
     WalkVerdict,
+    _j_value,
     analytic_phase,
     classify,
     compare_queues,
@@ -25,6 +27,7 @@ from maxdater.classify import (
 from maxdater.dists import (
     Deterministic,
     DiscreteUniform,
+    Distribution,
     Exponential,
     Mixture,
     Pareto,
@@ -42,6 +45,9 @@ PAR_NPR = ModelSpec(Pareto(0.8, 1.0), Pareto(0.5, 1.0))     # service tail heavi
 TPO_TWO = ModelSpec(Deterministic(1.0), TruncatedParetoOne(2.0, 2.0))
 TPO_ONE = ModelSpec(Deterministic(1.0), TruncatedParetoOne(1.0, 1.0))
 TPO_HALF = ModelSpec(Deterministic(1.0), TruncatedParetoOne(0.5, 1.0))
+# the classify-mixture benchmark model: no analytic rule, all three series
+MIX_PAR = ModelSpec(Mixture(((0.7, Exponential(1.5)), (0.3, Pareto(1.5, 0.5)))),
+                    Pareto(0.8, 1.0))
 
 
 # ------------------------------------------------------------ analytic
@@ -228,6 +234,101 @@ def test_classify_deterministic_without_stream():
         assert np.array_equal(da.partial_sums, db.partial_sums)
 
 
+# ------------------------------------------ one draw of arrival epochs
+
+# (model, force_series) for each route that runs series
+SERIES_ROUTES = {
+    "monte_carlo": (ModelSpec(Exponential(1.0), Pareto(0.5, 1.0)), False),
+    "monte_carlo_mixture": (MIX_PAR, False),
+    "monte_carlo_tail_converges": (ModelSpec(Pareto(0.5, 1.0), Exponential(1.0)), False),
+    "analytic_inconclusive": (PAR_NPR, False),
+    "force_series": (PAR_PR, True),
+}
+
+
+def _diag_bytes(d):
+    """Everything a diagnostic reports, floats and arrays as their bytes."""
+    arrays = [d.grid, d.partial_sums, d.values, np.float64(d.slope),
+              d.votes_converge, d.votes_diverge]
+    return (d.kind, d.verdict, sorted(d.params.items()), d.reps, d.n_max,
+            [None if a is None else np.asarray(a).tobytes() for a in arrays])
+
+
+def _report_bytes(rep):
+    return (rep.verdict, rep.source, rep.notes,
+            [_diag_bytes(d) for d in rep.diagnostics])
+
+
+def _series_config(route, y_gap):
+    """Model, config and y for a route; y_gap None takes y = w0, 0 puts y
+    on the tail series' shift 0, and 1.5 gives three distinct shifts."""
+    m, force = SERIES_ROUTES[route]
+    w0 = m.service.quantile(0.5)
+    y = None if y_gap is None else (0.0 if y_gap == 0 else w0 + y_gap)
+    cfg = ClassifierConfig(n_max=1000, reps=100, y=y, force_series=force)
+    return m, cfg, w0 if y is None else y
+
+
+@given(route=st.sampled_from(sorted(SERIES_ROUTES)),
+       y_gap=st.sampled_from([None, 0, 1.5]), seed=st.integers(0, 2**31))
+@settings(max_examples=25, deadline=None)
+def test_classify_series_equal_the_public_series_on_child_zero(route, y_gap, seed):
+    # every series classify reports is the public series run alone on the
+    # stream's child 0, bit for bit: one draw of epochs feeds them all
+    m, cfg, y = _series_config(route, y_gap)
+    rep = classify(m, cfg, Stream.from_seed(seed))
+    w0 = m.service.quantile(0.5)
+    run = (cfg.n_max, cfg.reps)
+    alone = {
+        "tail": tail_series(m, *run, Stream.from_seed(seed).child(0)),
+        "transience": transience_series(m, y, *run, Stream.from_seed(seed).child(0)),
+        "recurrence": recurrence_series(m, w0, cfg.c, *run, Stream.from_seed(seed).child(0)),
+    }
+    kinds = [d.kind.value for d in rep.diagnostics]
+    if route == "analytic_inconclusive":
+        assert kinds == ["transience", "recurrence"]
+    elif alone["tail"].verdict is SeriesVerdict.CONVERGES and not cfg.force_series:
+        assert kinds == ["tail"]
+    else:
+        assert kinds == ["tail", "transience", "recurrence"]
+    for d in rep.diagnostics:
+        assert _diag_bytes(d) == _diag_bytes(alone[d.kind.value])
+
+
+@given(route=st.sampled_from(sorted(SERIES_ROUTES)),
+       y_gap=st.sampled_from([None, 0, 1.5]), seed=st.integers(0, 2**31))
+@settings(max_examples=15, deadline=None)
+def test_classify_report_bytes_do_not_depend_on_threads(route, y_gap, seed):
+    m, cfg, _ = _series_config(route, y_gap)
+    one = classify(m, cfg, Stream.from_seed(seed))
+    two = classify(m, dataclasses.replace(cfg, threads=2), Stream.from_seed(seed))
+    assert _report_bytes(one) == _report_bytes(two)
+
+
+def test_classify_draws_the_epochs_once(monkeypatch):
+    # the three series share one pass: 2 uniforms per mixture draw for
+    # reps x grid[-1] epochs, and with y = w0 two tail evaluations per epoch
+    # (shift 0 for the tail series, w0 for the other two)
+    counts = {"uniforms": 0, "tails": 0}
+    uniform_open, tail = Stream.uniform_open, Distribution.tail
+
+    def counting_uniforms(self, size=None):
+        out = uniform_open(self, size)
+        counts["uniforms"] += np.size(out)
+        return out
+
+    def counting_tail(self, x):
+        counts["tails"] += np.size(x)
+        return tail(self, x)
+
+    monkeypatch.setattr(Stream, "uniform_open", counting_uniforms)
+    monkeypatch.setattr(Distribution, "tail", counting_tail)
+    rep = classify(MIX_PAR, ClassifierConfig(n_max=10_000, reps=100), Stream.from_seed(1))
+    assert [d.kind.value for d in rep.diagnostics] == ["tail", "transience", "recurrence"]
+    assert rep.diagnostics[0].grid[-1] == 10_000
+    assert counts == {"uniforms": 2 * 100 * 10_000, "tails": 2 * 100 * 10_000}
+
+
 # ------------------------------------------------------------ erickson
 
 
@@ -248,6 +349,26 @@ def test_erickson_quadrature_against_oracle():
     rep = erickson(PAR_PR)
     want = j_value_oracle(Pareto(0.8, 1.0), Pareto(0.5, 1.0))
     assert abs(rep.j_plus - want) <= 1e-4 * want
+
+
+@pytest.mark.parametrize("num, den", [
+    (MIX_PAR.interarrival, MIX_PAR.service),
+    (Mixture(((0.5, Uniform(0.0, 2.0)), (0.5, Exponential(3.0)))), Exponential(1.0)),
+])
+def test_j_value_of_a_mixture_is_the_weighted_sum_over_components(num, den):
+    # oracle: the undivided integral over the mixture's own quantile, with
+    # its cdf at each component's finite support ends as breakpoints
+    from scipy import integrate
+
+    def integrand(p):
+        x = float(num.quantile(p))
+        return x / float(den.truncated_mean(x))
+
+    ends = {z for _, d in num.components for z in d.support() if 0.0 < z < math.inf}
+    want, _ = integrate.quad(
+        integrand, 0.0, 1.0, points=sorted(float(num.cdf(z)) for z in ends) or None,
+        limit=400, epsabs=0.0, epsrel=1e-10)
+    assert abs(_j_value(num, den, 1e-10) - want) <= 1e-9 * want
 
 
 def test_erickson_finite_means_sign_rule():

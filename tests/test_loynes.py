@@ -479,9 +479,11 @@ def test_route_needs_a_positive_median():
 
 def test_backward_kernel_frees_the_carried_epochs():
     # timing-free: a one-row scan over three 2**20-wide pieces carries one
-    # epoch, not the piece it came from, into the next piece.  Pareto
-    # inverts its uniforms in place; with a view the scan held 4.0 pieces
-    # at the next service draw, with the copy 3.0.
+    # epoch, not the piece it came from, into the next piece, and lets go of
+    # the last piece's epochs and terms before drawing the next.  Pareto
+    # inverts its uniforms in place; with a view of the carried epoch the
+    # scan held 4.0 pieces at the next service draw, with the copy 3.0, and
+    # with the last piece freed 2.0.
     m, piece = ModelSpec(Exponential(1.0), Pareto(2.5, 1.0)), 1 << 20
     assert engine._block(1, 3 * piece) == piece
     _backward(m, 1, Stream.from_seed(3), 3 * piece)
@@ -491,5 +493,5 @@ def test_backward_kernel_frees_the_carried_epochs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * piece * 8
+    assert peak <= 2.3 * piece * 8
 
