@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import sys
@@ -393,9 +394,10 @@ def _cmd_simulate(cfg: ExperimentConfig, stream: Stream, strict: bool):
         "workload": _array_block(path.x),
         "arrival_epochs": _array_block(path.arrivals),
     }
-    rows = [("n", "t_n", "s_n", "T_n", "X_n"), (0, "", "", 0.0, path.x[0])]
-    rows += [(k + 1, path.t[k], path.s[k], path.arrivals[k + 1], path.x[k + 1])
-             for k in range(sec["n"])]
+    rows = itertools.chain(
+        [("n", "t_n", "s_n", "T_n", "X_n"), (0, "", "", 0.0, path.x[0])],
+        ((k + 1, path.t[k], path.s[k], path.arrivals[k + 1], path.x[k + 1])
+         for k in range(sec["n"])))
     return result, rows, 0
 
 
@@ -411,9 +413,9 @@ def _cmd_gg1(cfg: ExperimentConfig, stream: Stream, strict: bool):
         "wait": _array_block(path.w),
         "walk": _array_block(path.gamma),
     }
-    rows = [("n", "w_n", "gamma_n", "m_n")]
-    rows += [(k, path.w[k], path.gamma[k], path.m[k])
-             for k in range(sec["n"] + 1)]
+    rows = itertools.chain([("n", "w_n", "gamma_n", "m_n")],
+                           ((k, path.w[k], path.gamma[k], path.m[k])
+                            for k in range(sec["n"] + 1)))
     return result, rows, 0
 
 
@@ -431,7 +433,7 @@ def _cmd_stationary(cfg: ExperimentConfig, stream: Stream, strict: bool):
         }
         return result, [("value",)], 0
     values = batch.values
-    qs = {q: float(np.quantile(values, q)) for q in (0.5, 0.9, 0.99)}
+    qs = dict(zip((0.5, 0.9, 0.99), np.quantile(values, [0.5, 0.9, 0.99]).tolist()))
     result = {
         "divergence_suspected": False,
         "reps": batch.reps,
@@ -444,7 +446,7 @@ def _cmd_stationary(cfg: ExperimentConfig, stream: Stream, strict: bool):
         "quantiles": {str(k): v for k, v in qs.items()},
         "values": _array_block(values),
     }
-    rows = [("value",)] + [(v,) for v in values]
+    rows = itertools.chain([("value",)], zip(values))
     return result, rows, 0
 
 
@@ -630,7 +632,7 @@ def run(argv=None) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if args.csv:
+    if args.csv:  # rows may be lazy: built only here
         _write_csv(args.csv, rows)
     return code
 

@@ -35,6 +35,20 @@ draws at most its quantile there (``inf`` where that overflows, as for a
 Pareto law of small index).  Composition hands each draw to one component,
 so a mixture draws at most the largest of its components' largest draws.
 
+``_excess_quantile(y)``, for a law of finite mean, is the least x >= 0
+with E(Y - x)+ <= y: the inverse of the mean excess E(Y - x)+ = E Y -
+E[min(Y, x)], which falls continuously from E Y at x = 0 to 0.  It is 0
+for y >= E Y, takes float arrays of y > 0, never writes to them, and is a
+closed form for every law of finite mean but ``Mixture``.
+``sample_poisson_max`` draws the largest of (Y_k - T_k)+ over the points
+T_k of a Poisson process on (0, inf) with independent marks Y_k of the
+law: at most x (x >= 0) when no point has Y_k - T_k > x, which has
+probability exp(-rate * E(Y - x)+), so one uniform u gives the draw
+``_excess_quantile(-log(u) / rate)``.  A ``Mixture`` splits the process by
+mark into one Poisson process per component, at rate times its weight,
+and takes the largest of the components' draws, so it needs no inverse of
+its own.
+
 ``Mixture.quantile`` has no closed form and searches for the generalized
 inverse.  The component quantiles bracket it: every component cdf is below
 p just under min_i q_i(p) and at least p at max_i q_i(p), so the search
@@ -240,6 +254,15 @@ class Distribution(ABC):
         """The sampling kernel: inversion of one uniform piece."""
         return self._quantile(stream.uniform_open(size))
 
+    def sample_poisson_max(self, stream: Stream, size, rate: float):
+        """Draws of max(0, sup_k Y_k - T_k) over a rate-``rate`` Poisson
+        process T_1 < T_2 < ... on (0, inf) with marks Y_k of this law, of
+        finite mean: one uniform piece through ``_excess_quantile``."""
+        u = stream.uniform_open(size)
+        np.log(u, out=u)
+        u /= -rate
+        return self._excess_quantile(u)
+
     def largest_draw(self) -> float:
         """The largest value ``sample`` can return: the quantile at the
         largest uniform, ``inf`` where it overflows."""
@@ -276,6 +299,11 @@ class Exponential(Distribution, kind="exponential"):
     def _truncated_mean(self, x):
         return -np.expm1(-self.rate * np.maximum(x, 0.0)) / self.rate
 
+    def _excess_quantile(self, y):
+        # E(Y - x)+ = exp(-rate x) / rate
+        ry = self.rate * y
+        return np.where(ry < 1.0, -np.log(ry) / self.rate, 0.0)
+
     def support(self):
         return (0.0, math.inf)
 
@@ -304,6 +332,9 @@ class Deterministic(Distribution, kind="deterministic"):
 
     def _truncated_mean(self, x):
         return np.minimum(x, self.value)
+
+    def _excess_quantile(self, y):
+        return np.maximum(self.value - y, 0.0)
 
     def support(self):
         return (self.value, self.value)
@@ -357,6 +388,14 @@ class Pareto(Distribution, kind="pareto"):
                 z ** (1.0 - self.alpha) - self.scale ** (1.0 - self.alpha)
             ) / (1.0 - self.alpha)
         return np.where(x <= self.scale, np.minimum(x, self.scale), above)
+
+    def _excess_quantile(self, y):
+        # E(Y - x)+ is E Y - x up to scale, then scale (x / scale)**(1 - alpha)
+        # / (alpha - 1); alpha > 1
+        a1 = self.alpha - 1.0
+        z = y * a1 / self.scale
+        return np.where(z < 1.0, self.scale * z ** (-1.0 / a1),
+                        np.maximum(self.mean() - y, 0.0))
 
     def support(self):
         return (self.scale, math.inf)
@@ -445,6 +484,12 @@ class Uniform(Distribution, kind="uniform"):
         return np.where(x <= self.lo, np.minimum(x, self.lo),
                         np.where(x >= self.hi, self.mean(), mid))
 
+    def _excess_quantile(self, y):
+        # E(Y - x)+ is E Y - x up to lo, then (hi - x)**2 / (2 (hi - lo))
+        width = self.hi - self.lo
+        return np.where(y < 0.5 * width, self.hi - np.sqrt(2.0 * width * y),
+                        np.maximum(self.mean() - y, 0.0))
+
     def support(self):
         return (self.lo, self.hi)
 
@@ -493,6 +538,17 @@ class DiscreteUniform(Distribution, kind="discrete_uniform"):
     def _truncated_mean(self, x):
         v = self._arr()
         return np.minimum.outer(x, v).mean(axis=-1)
+
+    def _excess_quantile(self, y):
+        # E(Y - x)+ is linear between the knots b = 0, v_1, ..., v_n, where
+        # it falls by the share of values >= b_j per unit of x just below b_j
+        v, n = self._arr(), len(self.values)
+        b = np.concatenate([[0.0], v])
+        excess = np.maximum(v - b[:, None], 0.0).mean(axis=1)
+        excess[0] = self.mean()
+        above = n - np.searchsorted(v, b, side="left")
+        j = np.searchsorted(-excess, -y, side="left")  # first knot at most y
+        return np.maximum(b[j] - (y - excess[j]) * n / above[j], 0.0)
 
     def support(self):
         return (self.values[0], self.values[-1])
@@ -551,6 +607,13 @@ class Mixture(Distribution, kind="mixture"):
         shape, always in that order."""
         pick = stream.uniform_open(size)
         return self._compose(pick, stream.uniform_open(size))
+
+    def sample_poisson_max(self, stream, size, rate):
+        """The largest of the components' draws at rate times their weights,
+        one uniform piece per leaf in component order: marking each point
+        by its component splits the process into independent ones."""
+        return np.maximum.reduce([d.sample_poisson_max(stream, size, rate * w)
+                                  for w, d in self.components])
 
     def largest_draw(self) -> float:
         """The largest of the components' largest draws: composition draws

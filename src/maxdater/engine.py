@@ -12,8 +12,9 @@ identical uniforms in identical order.  Batches of paths draw (paths,
 block) pieces, one row per path, of at most 2**20 draws, with the last
 piece cut to the horizon; where the draws must not depend on the horizon
 (the single stationary draw, and the absorbing scan that ``stationary_batch``
-runs wherever every clock passes the service law's largest draw within the
-horizon) whole 4096- or 64-wide pieces are drawn.  Arrival epochs overwrite the
+runs off its Poisson route wherever every clock passes the service law's
+largest draw within the horizon) whole 4096- or 64-wide
+pieces are drawn.  Arrival epochs overwrite the
 inter-arrival piece: each row's cumulative sum plus the epoch it carried in.
 The backward scan's service piece ends at the first column where every
 row's epoch before it has passed the service law's largest draw, since no

@@ -15,10 +15,20 @@ setting fresh records late into the horizon.
 Once Tt_{j-1} has passed the largest service draw no later term can win,
 so the running maximum there *is* a perfect stationary draw: exact for the
 sampler's law, whose service draws stop at Q(1 - 2**-53) (under the true
-Exp/Exp law the remainder is about 2 * 2**-53).  ``stationary_batch`` runs
-this absorbing scan for bounded service and for every law whose largest
-draw the clocks pass within the horizon, such as Exp(1) (36.74); heavy
-tails such as Pareto(2.5) (2.4e6) keep the horizon scan.
+Exp/Exp law the remainder is about 2 * 2**-53).  ``stationary_batch`` gives
+exact draws for bounded service and for every law whose largest draw the
+clocks pass within the horizon, such as Exp(1) (36.74); heavy tails such
+as Pareto(2.5) (2.4e6) keep the horizon scan.
+
+Inside that gate, Poisson arrivals at rate lam with a service law of finite
+mean take the Poisson route instead of the scan.  The epochs Tt_1, Tt_2,
+... are then a Poisson process with independent marks, so the draw is
+max(st_1, M) with M = max(0, sup_k st_{k+1} - Tt_k) of the M/G/inf law
+P(M <= x) = exp(-lam * E(s - x)+) (Takacs 1962), drawn by
+``Distribution.sample_poisson_max``.  It is exact for the true law, up to
+the resolution of its uniforms (two a draw unless the service law is a
+mixture).  Every other model in the gate, such as deterministic or uniform
+arrivals, runs the absorbing scan.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ from typing import Optional
 
 import numpy as np
 
+from .dists import Exponential
 from .engine import _BLOCK_ELEMS, ModelSpec, _block, _endpoints, _epochs, _passing_steps
 from .streams import Stream, run_chunked
 
@@ -239,11 +250,15 @@ def stationary_batch(
 ) -> StationaryBatch:
     """``reps`` independent truncated stationary draws.
 
-    The exact absorbing construction (residual_bound 0), run until every
-    clock has passed the largest service draw, serves bounded service and
-    every law whose largest draw the clocks are sure to pass within
-    ``horizon`` steps (the scan's own bound, ``_passing_steps``).  Other
-    laws run to ``horizon`` and report the extrapolated residual bound on
+    Exact draws (residual_bound 0) serve bounded service and every law
+    whose largest draw the clocks are sure to pass within ``horizon`` steps
+    (the absorbing scan's own bound, ``_passing_steps``).  There, Poisson
+    arrivals with service of finite mean take the Poisson route: each chunk
+    draws st_1 with ``service.sample``, then M with
+    ``service.sample_poisson_max``, and keeps their elementwise maximum.
+    Every other model there runs the absorbing scan until every clock has
+    passed the largest service draw.  Laws outside the gate run to
+    ``horizon`` and report the extrapolated residual bound on
     P(truncated value != limit).
     """
     if reps < 1:
@@ -253,12 +268,17 @@ def stationary_batch(
     _, sup = m.service.support()
     s_up = min(sup, m.service.largest_draw())  # no term past it is a record
     if math.isfinite(sup) or _passes_within(m, s_up, reps, horizon):
-        # absorbing paths mostly stop within a few draws: narrow pieces
-        parts = run_chunked(
-            lambda st, start, count: _backward(
-                m, count, st, math.inf, s_up=s_up, block=64)[0],
-            reps, stream, threads=threads,
-        )
+        if isinstance(m.interarrival, Exponential) and math.isfinite(m.service.mean()):
+            # Poisson arrivals: the newest service against the closed-form
+            # M/G/inf maximum of all older terms
+            rate = m.interarrival.rate
+            worker = lambda st, start, count: np.maximum(
+                m.service.sample(st, count), m.service.sample_poisson_max(st, count, rate))
+        else:
+            # absorbing paths mostly stop within a few draws: narrow pieces
+            worker = lambda st, start, count: _backward(
+                m, count, st, math.inf, s_up=s_up, block=64)[0]
+        parts = run_chunked(worker, reps, stream, threads=threads)
         return StationaryBatch(values=np.concatenate(parts), residual_bound=0.0,
                                horizon=horizon, reps=reps, exact=True)
 

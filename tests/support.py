@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, stats
 
 from maxdater import ModelSpec
 from maxdater.dists import (
@@ -223,6 +223,58 @@ def integrate_against(d, g, tol=1e-11, breakpoints=()):
 
 def truncated_mean_oracle(d, x):
     return integrate_against(d, lambda v: min(v, x), breakpoints=(x,))
+
+
+def excess_mean_oracle(d, x):
+    """E(Y - x)+ for Y ~ d, integrated directly (no E Y - E min(Y, x)
+    cancellation for small excesses).  The cut at x + 1 keeps an infinite
+    piece's substitution u = 1/v off a near-0 lower end."""
+    return integrate_against(d, lambda v: max(v - x, 0.0), tol=1e-13,
+                             breakpoints=(x, x + 1.0))
+
+
+def mginf_cdf(m, x):
+    """P(X <= x) for the stationary maximum dater under Poisson arrivals at
+    rate ``m.interarrival.rate`` (M/G/inf; Takacs 1962): the newest service
+    is at most x and no older job, at the points of the Poisson process,
+    has work left above x.  The count of those that do is Poisson of mean
+    rate * E(s - x)+, with E(s - x)+ = E s - E min(s, x) from
+    ``truncated_mean_oracle``.  Scalar x."""
+    if not x > 0:
+        return 0.0
+    s = m.service
+    excess = s.mean() - truncated_mean_oracle(s, x)
+    return float(s.cdf(x)) * math.exp(-m.interarrival.rate * excess)
+
+
+def ks_pvalue(values, cdf, every=16):
+    """Two-sided one-sample Kolmogorov-Smirnov p-value of ``values``
+    against ``cdf``, a nondecreasing scalar function that may be slow and
+    may jump.  D = sup |F_n - F| is taken at each distinct value u from
+    F(u) and its left limit F(u-), read as cdf at the double below u
+    where u repeats (scipy's kstest assumes no ties) and as F(u) where it
+    does not, which can only overstate D.  cdf is evaluated first at every
+    ``every``-th distinct value; between two such knots F lies between its
+    values there, which bounds D on the stretch, and only stretches whose
+    bound beats the D found so far are evaluated point by point.  Where F
+    jumps the p-value is conservative."""
+    u, counts = np.unique(values, return_counts=True)
+    above = np.cumsum(counts) / values.size  # F_n(u)
+    below = above - counts / values.size  # F_n(u-)
+    f, f_left = np.full(len(u), np.nan), np.full(len(u), np.nan)
+
+    def deviation(idx):
+        for k in idx:
+            f[k] = cdf(u[k])
+            f_left[k] = cdf(np.nextafter(u[k], -np.inf)) if counts[k] > 1 else f[k]
+        return float(np.max(np.maximum(above[idx] - f[idx], f_left[idx] - below[idx])))
+
+    knots = np.unique(np.r_[np.arange(0, len(u), every), len(u) - 1])
+    d = deviation(knots)
+    for a, b in zip(knots, knots[1:]):
+        if b - a > 1 and max(above[b - 1] - f[a], f_left[b] - below[a + 1]) > d:
+            d = max(d, deviation(np.arange(a + 1, b)))
+    return float(stats.kstwo.sf(d, values.size))
 
 
 def j_value_oracle(num, den, tol=1e-11):

@@ -24,6 +24,7 @@ from maxdater.dists import (
 
 from support import (
     _density_pieces,
+    excess_mean_oracle,
     generalized_inverse_oracle,
     integrate_against,
     truncated_mean_oracle,
@@ -173,6 +174,35 @@ def test_truncated_mean_against_quadrature(d):
         m = d.mean()
         if math.isfinite(m):
             assert got <= m + 1e-12
+
+
+# the laws with an _excess_quantile kernel: finite mean, not a mixture
+EXCESS_LAWS = [d for d in CATALOGUE if not isinstance(d, Mixture) and math.isfinite(d.mean())]
+EXCESS_LAWS += [DiscreteUniform((0.5, 1.0, 1.0, 3.0)), Pareto(10.0, 0.5)]
+
+
+def test_excess_laws_cover_every_finite_mean_kind():
+    assert {type(d) for d in EXCESS_LAWS} == set(dists.CATALOGUE.values()) - {
+        Mixture, TruncatedParetoOne}
+
+
+@given(d=st.sampled_from(EXCESS_LAWS),
+       fracs=st.lists(st.floats(1e-6, 1.0, exclude_max=True), min_size=1, max_size=6),
+       over=st.floats(1.0, 1e6))
+@settings(max_examples=200, deadline=None)
+def test_excess_quantile_inverts_the_mean_excess(d, fracs, over):
+    # the least x >= 0 with E(Y - x)+ <= y: below E Y the mean excess at x,
+    # integrated directly, is y, and x does not increase with y; from E Y
+    # on it is 0.  The kernel leaves its input alone.
+    mean = d.mean()
+    y = np.sort(fracs) * mean
+    kept = y.copy()
+    x = d._excess_quantile(y)
+    assert np.array_equal(y, kept)
+    assert np.all(x >= 0.0) and np.all(np.diff(x) <= 0.0)
+    for yi, xi in zip(y, x):
+        assert excess_mean_oracle(d, xi) == pytest.approx(yi, rel=1e-9)
+    assert np.all(d._excess_quantile(np.array([mean, mean * over])) == 0.0)
 
 
 @given(x=st.floats(0.01, 40.0), y=st.floats(0.01, 40.0))

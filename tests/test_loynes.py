@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from maxdater import ModelSpec, Stream, engine
+from maxdater import ModelSpec, Stream, engine, loynes
 from maxdater.dists import (
     Deterministic,
     DiscreteUniform,
@@ -28,13 +28,15 @@ from maxdater.loynes import (
     stationary_window,
     tv_discrepancy,
 )
-from maxdater.streams import run_chunked
+from maxdater.streams import chunk_plan, run_chunked
 
 from support import (
     RecordingLaw,
     backward_maxdater,
     backward_oracle,
     enumerate_discrete_stationary,
+    ks_pvalue,
+    mginf_cdf,
     piecewise_backward_oracle,
 )
 
@@ -427,6 +429,72 @@ def test_light_tail_batch_matches_the_closed_form():
     assert batch.exact and batch.residual_bound == 0.0
     cdf = lambda x: (1.0 - np.exp(-x)) * np.exp(-np.exp(-x))
     assert stats.kstest(batch.values, cdf).pvalue > 0.01
+
+
+def test_absorbing_scan_matches_the_closed_form():
+    # the scan itself, which Poisson arrivals no longer reach through
+    # stationary_batch, chunked as the batch ran it
+    s_up = EXP_EXP.service.largest_draw()
+    parts = run_chunked(lambda st, start, count: _backward(
+        EXP_EXP, count, st, math.inf, s_up=s_up, block=64)[0], 100_000, Stream.from_seed(40))
+    cdf = lambda x: (1.0 - np.exp(-x)) * np.exp(-np.exp(-x))
+    assert stats.kstest(np.concatenate(parts), cdf).pvalue > 0.01
+
+
+# every finite-mean law of the catalogue as service under Poisson arrivals,
+# each inside the absorbing gate at horizon 1,000
+POISSON = {
+    "exponential": ModelSpec(Exponential(1.0), Exponential(0.7)),
+    "uniform": ModelSpec(Exponential(2.0), Uniform(0.0, 2.0)),
+    "deterministic": ModelSpec(Exponential(1.0), Deterministic(1.5)),
+    "discrete_uniform": ModelSpec(Exponential(1.5), DiscreteUniform((0.5, 1.0, 1.0, 3.0))),
+    "pareto": ModelSpec(Exponential(1.0), Pareto(10.0, 1.0)),
+    "mixture": ModelSpec(Exponential(2.0), Mixture((
+        (0.5, Exponential(3.0)),
+        (0.5, Mixture(((0.4, Uniform(0.0, 2.0)), (0.6, Deterministic(1.5)))))))),
+}
+
+
+@pytest.mark.parametrize("name", POISSON)
+def test_poisson_route_draws_the_mginf_law(name, monkeypatch):
+    m = POISSON[name]
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("Poisson arrivals took the absorbing scan")
+
+    monkeypatch.setattr(loynes, "_backward", no_scan)
+    batch = stationary_batch(m, 1000, 100_000, Stream.from_seed(50))
+    assert batch.exact and batch.residual_bound == 0.0
+    assert ks_pvalue(batch.values, lambda x: mginf_cdf(m, x)) > 0.01
+
+
+@pytest.mark.parametrize("name", ["exponential", "mixture"])
+def test_poisson_route_draw_layout(name):
+    # chunk i draws s_1, then one uniform piece per leaf of the service law
+    # in component order, from stream.child(i)
+    def leaves(d, rate):  # (rate, law) of each leaf, rates split as mixtures split them
+        if isinstance(d, Mixture):
+            return [leaf for w, c in d.components for leaf in leaves(c, rate * w)]
+        return [(rate, d)]
+
+    m, reps, stream = POISSON[name], 1000, Stream.from_seed(51)
+    want = []
+    for i, (_, count) in enumerate(chunk_plan(reps)):
+        st = stream.child(i)
+        x = m.service.sample(st, count)
+        for rate, d in leaves(m.service, m.interarrival.rate):
+            x = np.maximum(x, d._excess_quantile(-np.log(st.uniform_open(count)) / rate))
+        want.append(x)
+    got = stationary_batch(m, 1000, reps, stream).values
+    assert got.tobytes() == np.concatenate(want).tobytes()
+
+
+@pytest.mark.parametrize("name", ["exponential", "mixture"])
+def test_poisson_route_thread_count_invariance(name):
+    m = POISSON[name]
+    runs = [stationary_batch(m, 1000, 5000, Stream.from_seed(52), threads=t).values
+            for t in (1, 2, 4)]
+    assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes()
 
 
 @pytest.mark.parametrize("m", [
