@@ -49,20 +49,11 @@ mark into one Poisson process per component, at rate times its weight,
 and takes the largest of the components' draws, so it needs no inverse of
 its own.
 
-``Mixture.quantile`` has no closed form and searches for the generalized
-inverse.  The component quantiles bracket it: every component cdf is below
-p just under min_i q_i(p) and at least p at max_i q_i(p), so the search
-starts from [prev_float(min_i q_i(p)), max_i q_i(p)] (an end that rounding
-puts on the wrong side of p gives way to 0 or +inf).  A secant through the
-bracket end nearer the root and an earlier such end proposes each probe.
-Bisection on the int64 bit pattern of the non-negative doubles takes over
-when the secant leaves the bracket or is not finite, when the step before
-did not halve the bracket, and on a flat stretch of the cdf.  A secant step
-of a few ulps is pushed past the root so that the far end moves too.  The
-search stops at adjacent doubles and returns the upper one: the least
-double q with cdf(q) >= p, exactly, for any monotone cdf.  At least every
-other step halves the bracket's width in bit patterns, which starts below
-2**63, so at most 2 * 63 steps follow the two cdf evaluations at the ends.
+``Mixture.quantile`` has no closed form and bisects the int64 bit patterns
+of [0, +inf], which order like the non-negative doubles they encode, with
+cdf(lo) < p <= cdf(hi) throughout.  A fixed 63 halvings close the fewer
+than 2**63 patterns to adjacent doubles, so it returns the least double q
+with cdf(q) >= p, exactly, for any monotone cdf.
 
 ``truncated_mean_by_quadrature`` integrates the tail numerically and is
 kept as an independent route against the closed forms.
@@ -99,25 +90,6 @@ __all__ = [
     "QuadratureError",
     "truncated_mean_by_quadrature",
 ]
-
-
-# Mixture.quantile takes a secant step of at most this many ulps as having
-# reached the cdf's resolution, and probes past the root instead.
-_NUDGE_ULPS = 4
-
-# Mixture.quantile searches at most this many draws at a time.  Its working
-# arrays take about 140 bytes a draw, so a block holds about 2 MB, while
-# numpy's fixed cost per call is already spread thin.
-_SEARCH_BLOCK = 1 << 14
-
-# Step bound for Mixture.quantile.  Its bracket [lo, hi] lies in [0, inf],
-# where the int64 bit patterns of doubles order like their values and span
-# fewer than 2**63 patterns, so K = ceil(log2(hi_bits - lo_bits)) <= 63, and
-# the search ends at K = 0 (adjacent doubles).  Every probe lies strictly
-# inside the bracket.  A bisection on the bit pattern leaves at most
-# ceil(W / 2) of the width W, which lowers K by at least 1; a secant step
-# that leaves more forces a bisection next.  So every two steps lower K.
-_MAX_STEPS = 2 * 63
 
 
 # config kind -> law, entered as each law is defined
@@ -648,126 +620,19 @@ class Mixture(Distribution, kind="mixture"):
         return out.reshape(shape)
 
     def _quantile(self, p):
-        """Exact generalized inverse: the least double q with cdf(q) >= p.
-
-        Brackets q by the component quantiles, then closes the bracket to
-        adjacent doubles with a guarded secant and bisection on the int64
-        bit pattern; see the module docstring.  Raises RuntimeError if the
-        bracket is still open after ``_MAX_STEPS`` steps, which the step
-        bound rules out for component laws on [0, inf].
-        """
-        q = np.empty(p.shape)
-        blocks = max(1, -(-p.size // _SEARCH_BLOCK))  # of near-equal length
-        # An overflowed q_i = inf is a valid upper end, and a secant through
-        # equal cdf values or an infinite end is not finite, which the
-        # bracket test then rejects.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for part, into in zip(np.array_split(p.ravel(), blocks),
-                                  np.array_split(q.reshape(-1), blocks)):
-                self._invert(part, into)
-        return q
-
-    def _bracket(self, p):
-        """Rows lo, hi, b, f(b), slope, p for the search: the bracket, its
-        end b nearer the root in cdf, and the secant slope through both
-        ends, where f = cdf - p."""
-        state = np.empty((6, p.size))
-        lo, hi, b, fb, slope, _ = state
-        state[5] = p
-        qs = (d._quantile(p) for _, d in self.components)
-        lo[...] = hi[...] = next(qs)
-        for q in qs:
-            np.minimum(lo, q, out=lo)
-            np.maximum(hi, q, out=hi)
-        np.nextafter(lo, 0.0, out=lo)
-        flo, fhi = fb, slope  # rows reused until b and slope are known
-        np.subtract(self._cdf(lo), p, out=flo)
-        np.subtract(self._cdf(hi), p, out=fhi)
-        # Rounding in a component quantile can put an end on the wrong side
-        # of p.  An end with cdf >= p is then a valid upper end, with 0
-        # (cdf 0) below it; an end with cdf < p a valid lower end, with +inf
-        # (cdf exactly 1, see __post_init__) above it.
-        bad = flo >= 0
-        np.copyto(hi, lo, where=bad)
-        np.copyto(fhi, flo, where=bad)
-        np.copyto(lo, 0.0, where=bad)
-        np.copyto(flo, -p, where=bad)
-        bad = fhi < 0
-        np.copyto(lo, hi, where=bad)
-        np.copyto(flo, fhi, where=bad)
-        np.copyto(hi, np.inf, where=bad)
-        np.copyto(fhi, 1.0 - p, where=bad)
-        far = np.abs(flo) >= np.abs(fhi)
-        b[...] = np.where(far, hi, lo)
-        start = (fhi - flo) / (hi - lo)
-        np.copyto(fb, fhi, where=far)
-        slope[...] = start
-        return state
-
-    def _invert(self, p, out):
-        # The secant runs from b with ``slope``, taken from b and an earlier
-        # b.  The rows of ``state`` shrink together to the open entries, and
-        # are updated through their int64 views, where x + m * (y - x)
-        # selects exactly.
-        state = self._bracket(p)
-        lo_b, hi_b = state[:2].view(np.int64)
-        width = hi_b - lo_b
-        idx = np.arange(p.size)
-        force = np.zeros(p.size, dtype=bool)
-        for step in range(_MAX_STEPS + 1):
-            closed = np.flatnonzero(width == 1)
-            if closed.size:
-                out[idx[closed]] = state[1, closed]
-                keep = np.flatnonzero(width != 1)
-                for row in state:
-                    row[:keep.size] = row[keep]
-                state = state[:, :keep.size]
-                idx, force, width = idx[keep], force[keep], width[keep]
-            if not idx.size:
-                return
-            if step == _MAX_STEPS:
-                raise RuntimeError(
-                    f"Mixture.quantile bracket still open after {_MAX_STEPS} steps; "
-                    "the step bound assumes component laws on [0, inf] with monotone cdfs")
-            lo_b, hi_b, b_b, fb_b, slope_b, _ = state.view(np.int64)
-            _, _, b, fb, slope, p = state
-            x = b - fb / slope
-            x_b = x.view(np.int64)
-            # Near the root the secant creeps up on it from one side while
-            # the far end stays put.  A step of a few ulps is replaced by one
-            # past the root: twice the step, or twice the x-span of one ulp
-            # of p along the secant (the cdf resolves p no finer), at least
-            # one ulp and at most half the bracket.
-            s = np.flatnonzero(np.abs(x_b - b_b) <= _NUDGE_ULPS)
-            if s.size:
-                bs = b[s]
-                reach = np.fmin(2 * np.fmax(np.abs(x_b[s] - bs.view(np.int64)),
-                                            np.abs(p[s] / (bs * slope[s]))),
-                                width[s] >> 1)
-                # toward the root: up from a lower end (cdf < p), else down
-                x_b[s] = bs.view(np.int64) + np.copysign(np.fmax(reach, 1), -fb[s]).astype(np.int64)
-            secant = ~force & (lo_b < x_b) & (x_b < hi_b)
-            r = np.flatnonzero(~secant)
-            if r.size:
-                x_b[r] = lo_b[r] + (width[r] >> 1)
-            fx = self._cdf(x) - p
-            below = fx < 0
-            lo_b += below * (x_b - lo_b)
-            hi_b += ~below * (x_b - hi_b)
-            # Bisect next after a secant step that did not halve the bracket,
-            # or one that met b's cdf value again: the cdf is flat there and
-            # the secant has nothing to go on.
-            flat = fx == fb
-            force = secant & (hi_b - lo_b > (width + 1) >> 1) | flat
-            np.subtract(hi_b, lo_b, out=width)
-            # A nearer probe renews the slope and becomes b; one with b's cdf
-            # value replaces b too, keeping b an end.
-            nearer = np.abs(fx) < np.abs(fb)
-            slope_b += nearer * (((fx - fb) / (x - b)).view(np.int64) - slope_b)
-            nearer |= flat
-            b_b += nearer * (x_b - b_b)
-            fb_b += nearer * (fx.view(np.int64) - fb_b)
-            del x, x_b, fx  # not held through the next step's cdf
+        """Exact generalized inverse: the least double q with cdf(q) >= p,
+        by bisection on the int64 bit patterns; see the module docstring."""
+        # cdf(0) = 0 for every law, and __post_init__ makes cdf(inf) exactly 1
+        lo = np.zeros(p.shape, dtype=np.int64)
+        hi = np.full(p.shape, np.float64(np.inf).view(np.int64))
+        # a cdf overflows on its way to 1 near the largest doubles
+        with np.errstate(over="ignore"):
+            for _ in range(63):
+                mid = lo + (hi - lo) // 2
+                below = self._cdf(mid.view(np.float64)) < p
+                np.copyto(lo, mid, where=below)
+                np.copyto(hi, mid, where=~below)
+        return hi.view(np.float64)
 
     def mean(self) -> float:
         if any(math.isinf(d.mean()) for _, d in self.components):

@@ -124,8 +124,9 @@ def enumerate_discrete_stationary(arrival_gap, values):
 def generalized_inverse_oracle(d, p):
     """inf{x : cdf(x) >= p} over the doubles in [0, +inf], one p at a time:
     bisect the int64 bit pattern, which orders the non-negative doubles,
-    from [0, +inf] down to two adjacent doubles.  At most 63 halvings, no
-    bracket from the law's own quantiles and no secant."""
+    from [0, +inf] down to two adjacent doubles.  ``Mixture.quantile``
+    halves the same way on whole arrays, so the tests that use this also
+    check cdf(q) >= p > cdf(prev_float(q)) directly."""
     lo, hi = 0, int(np.float64(np.inf).view(np.int64))
     for _ in range(64):
         if hi - lo == 1:

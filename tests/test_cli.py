@@ -437,17 +437,45 @@ def test_regen_and_compare_commands_run(tmp_path, capsys):
     assert "same phase" in report["result"]["commentary"]
 
 
+def _src_env():
+    """The environment with this package's source first on PYTHONPATH, for
+    tests that start a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(maxdater.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def test_cli_import_loads_no_scipy():
     # scipy's quadrature is imported where it is called, so starting the
     # command line loads no scipy module
-    src = os.path.dirname(os.path.dirname(maxdater.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run(
         [sys.executable, "-c", "import sys, maxdater.cli; "
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        env=env, capture_output=True, text=True, check=True, timeout=120)
+        env=_src_env(), capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_scripts_write_their_csv(tmp_path):
+    # the experiments under scripts/, at small sizes, each in its own process
+    scripts = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+    runs = [
+        ("critical_line.py", ["--d1", "0.5", "2.0", "--n-max", "1000",
+                              "--csv", str(tmp_path / "critical.csv")],
+         ["critical.csv"]),
+        ("phase_diagram.py", ["--indices", "0.8", "1.5", "--n-max", "1000",
+                              "--reps", "100", "--csv", str(tmp_path / "phase.csv")],
+         ["phase.csv"]),
+        ("tail_study.py", ["--samples", "2000", "--horizon", "50", "--threads", "1",
+                           "--csv-prefix", str(tmp_path / "tails_")],
+         ["tails_exp.csv", "tails_pareto.csv"]),
+    ]
+    for script, args, outputs in runs:
+        out = subprocess.run(
+            [sys.executable, os.path.join(scripts, script), *args],
+            env=_src_env(), capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, (script, out.stderr)
+        for name in outputs:
+            assert (tmp_path / name).is_file(), (script, name)
 
 
 def test_stationary_csv_written_when_divergence_suspected(tmp_path, capsys):
