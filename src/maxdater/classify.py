@@ -66,6 +66,7 @@ __all__ = [
 ]
 
 _GRID_POINTS = 200
+_QUAD_TOL = 1e-10  # relative tolerance of the drift integrals
 _DEFAULT_SEED = 20260816  # classify() without a stream stays reproducible
 
 
@@ -523,13 +524,13 @@ def _prob_breaks(d: Distribution) -> list:
     return sorted(p for p in out if 0.0 < p < 1.0)
 
 
-def _j_value(num: Distribution, den: Distribution, quad_tol: float) -> float:
+def _j_value(num: Distribution, den: Distribution) -> float:
     """E[ A / m(A) ] with A ~ num and m the truncated mean of den,
     integrated in probability space so atoms come out exact.  The integral
     is linear in the law of A, so a mixture is the weighted sum of its
     components' integrals, each in its own probability space."""
     if isinstance(num, Mixture):
-        return math.fsum(w * _j_value(comp, den, quad_tol) for w, comp in num.components)
+        return math.fsum(w * _j_value(comp, den) for w, comp in num.components)
     from scipy import integrate
 
     def integrand(p: float) -> float:
@@ -540,7 +541,7 @@ def _j_value(num: Distribution, den: Distribution, quad_tol: float) -> float:
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, err = integrate.quad(integrand, 0.0, 1.0,
                                   points=_prob_breaks(num) or None,
-                                  limit=400, epsabs=0.0, epsrel=quad_tol)
+                                  limit=400, epsabs=0.0, epsrel=_QUAD_TOL)
     if not math.isfinite(val) or err > 1e-6 * max(abs(val), 1.0):
         raise QuadratureError(
             f"drift integral failed: value {val}, error estimate {err}")
@@ -568,7 +569,7 @@ def _j_finite(num: Distribution, den: Distribution) -> bool:
     return alpha > 1.0
 
 
-def erickson(m: ModelSpec, quad_tol: float = 1e-10) -> EricksonReport:
+def erickson(m: ModelSpec) -> EricksonReport:
     """Drift classification of the increment walk Gamma_n = sum(s_j - t_{j+1})
     through the truncated-mean ratio integrals
 
@@ -580,7 +581,8 @@ def erickson(m: ModelSpec, quad_tol: float = 1e-10) -> EricksonReport:
     both driving means are finite the walk obeys the strong law and the
     verdict is the sign of E s - E t.  en_s1 brackets the expected number
     of arrivals during one service time via Wald's inequality,
-    x/m_minus(x) <= E N(x) + 1 <= 2x/m_minus(x).
+    x/m_minus(x) <= E N(x) + 1 <= 2x/m_minus(x), so that E N(s_1) lies in
+    [J_plus - 1, 2 J_plus - 1].
     """
     s, t = m.service, m.interarrival
     s_lo, s_hi = s.support()
@@ -592,8 +594,8 @@ def erickson(m: ModelSpec, quad_tol: float = 1e-10) -> EricksonReport:
 
     ms, mt = s.mean(), t.mean()
     if math.isfinite(ms) and math.isfinite(mt):
-        j_plus = _j_value(s, t, quad_tol)
-        j_minus = _j_value(t, s, quad_tol)
+        j_plus = _j_value(s, t)
+        j_minus = _j_value(t, s)
         if ms < mt:
             wv = WalkVerdict.DRIFT_MINUS
         elif ms > mt:
@@ -603,8 +605,8 @@ def erickson(m: ModelSpec, quad_tol: float = 1e-10) -> EricksonReport:
     else:
         fp = _j_finite(s, t)
         fm = _j_finite(t, s)
-        j_plus = _j_value(s, t, quad_tol) if fp else math.inf
-        j_minus = _j_value(t, s, quad_tol) if fm else math.inf
+        j_plus = _j_value(s, t) if fp else math.inf
+        j_minus = _j_value(t, s) if fm else math.inf
         if fp:
             wv = WalkVerdict.DRIFT_MINUS
         elif fm:
@@ -612,7 +614,7 @@ def erickson(m: ModelSpec, quad_tol: float = 1e-10) -> EricksonReport:
         else:
             wv = WalkVerdict.OSCILLATES
     if math.isfinite(j_plus):
-        en = (max(j_plus - 1.0, 0.0), 2.0 * j_plus)
+        en = (max(j_plus - 1.0, 0.0), 2.0 * j_plus - 1.0)
     else:
         en = (math.inf, math.inf)
     return EricksonReport(j_plus=j_plus, j_minus=j_minus, walk_verdict=wv,

@@ -55,9 +55,6 @@ cdf(lo) < p <= cdf(hi) throughout.  A fixed 63 halvings close the fewer
 than 2**63 patterns to adjacent doubles, so it returns the least double q
 with cdf(q) >= p, exactly, for any monotone cdf.
 
-``truncated_mean_by_quadrature`` integrates the tail numerically and is
-kept as an independent route against the closed forms.
-
 Each law names its config ``kind`` where it is defined, which enters it in
 ``CATALOGUE``, and states the bound on each of its fields in that field's
 metadata.  ``Distribution.__post_init__`` checks those bounds, and the
@@ -88,7 +85,6 @@ __all__ = [
     "Mixture",
     "TailClass",
     "QuadratureError",
-    "truncated_mean_by_quadrature",
 ]
 
 
@@ -241,10 +237,6 @@ class Distribution(ABC):
         with np.errstate(over="ignore"):
             return float(self._quantile(np.array([_TOP_UNIFORM]))[0])
 
-    def _breakpoints(self) -> tuple[float, ...]:
-        """Atoms and kink locations of the tail, for piecewise quadrature."""
-        return ()
-
 
 @dataclass(frozen=True)
 class Exponential(Distribution, kind="exponential"):
@@ -317,8 +309,6 @@ class Deterministic(Distribution, kind="deterministic"):
     def _laplace(self, mu: float) -> float:
         return math.exp(-mu * self.value)
 
-    def _breakpoints(self):
-        return (self.value,)
 
 
 @dataclass(frozen=True)
@@ -375,8 +365,6 @@ class Pareto(Distribution, kind="pareto"):
     def tail_class(self):
         return TailClass("regvar", self.alpha)
 
-    def _breakpoints(self):
-        return (self.scale,)
 
 
 @dataclass(frozen=True)
@@ -421,8 +409,6 @@ class TruncatedParetoOne(Distribution, kind="truncated_pareto_one"):
     def tail_class(self):
         return TailClass("regvar", 1.0)
 
-    def _breakpoints(self):
-        return (self.x0,)
 
 
 @dataclass(frozen=True)
@@ -471,8 +457,6 @@ class Uniform(Distribution, kind="uniform"):
     def _laplace(self, mu: float) -> float:
         return (math.exp(-mu * self.lo) - math.exp(-mu * self.hi)) / (mu * (self.hi - self.lo))
 
-    def _breakpoints(self):
-        return (self.lo, self.hi)
 
 
 @dataclass(frozen=True)
@@ -530,9 +514,6 @@ class DiscreteUniform(Distribution, kind="discrete_uniform"):
 
     def _laplace(self, mu: float) -> float:
         return float(np.mean(np.exp(-mu * self._arr())))
-
-    def _breakpoints(self):
-        return self.values
 
 
 @dataclass(frozen=True)
@@ -658,30 +639,3 @@ class Mixture(Distribution, kind="mixture"):
     def _laplace(self, mu: float) -> float:
         return math.fsum(w * d._laplace(mu) for w, d in self.components)
 
-    def _breakpoints(self):
-        pts: list[float] = []
-        for _, d in self.components:
-            pts.extend(d._breakpoints())
-        return tuple(sorted(set(pts)))
-
-
-def truncated_mean_by_quadrature(dist: Distribution, x: float, rel_tol: float = 1e-10) -> float:
-    """E[min(Y, x)] as the integral of the tail over [0, x].
-
-    Independent numeric route against the closed forms; raises
-    QuadratureError when the adaptive scheme cannot certify ``rel_tol``.
-    """
-    if not x > 0:
-        raise ValueError("truncation point must be > 0")
-    from scipy import integrate
-
-    pts = [b for b in dist._breakpoints() if 0.0 < b < x]
-    val, err = integrate.quad(
-        lambda u: float(dist.tail(u)), 0.0, float(x),
-        points=pts or None, epsabs=1e-14, epsrel=rel_tol, limit=500,
-    )
-    if err > rel_tol * max(abs(val), 1e-12):
-        raise QuadratureError(
-            f"tail integral over [0, {x}] did not converge (err={err:g}, value={val:g})"
-        )
-    return val

@@ -40,8 +40,6 @@ __all__ = [
     "ModelSpec",
     "PathSample",
     "Gg1Path",
-    "maxdater_step",
-    "lindley_step",
     "driving_draws",
     "path_from_draws",
     "simulate_path",
@@ -92,14 +90,6 @@ class Gg1Path:
     w: np.ndarray
     gamma: np.ndarray
     m: np.ndarray
-
-
-def maxdater_step(x: float, t: float, s: float) -> float:
-    return max(x - t, s)
-
-
-def lindley_step(w: float, s: float, t: float) -> float:
-    return max(w + s - t, 0.0)
 
 
 def driving_draws(m: ModelSpec, n_t: int, n_s: int, stream: Stream):

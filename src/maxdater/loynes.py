@@ -47,7 +47,6 @@ __all__ = [
     "StationaryBatch",
     "StationaryWindow",
     "TvReport",
-    "DivergenceConfig",
     "DivergenceSuspected",
     "stationary_batch",
     "stationary_sample",
@@ -68,19 +67,13 @@ class DivergenceSuspected(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class DivergenceConfig:
-    """Record-based divergence heuristic.
-
-    A trajectory votes "divergent" when its running maximum improves at
-    some index j > window_fraction * horizon (the final decade of a
-    log-spaced axis for the default 0.1).  The batch raises once at least
-    ``vote`` of trajectories vote that way.
-    """
-
-    window_fraction: float = 0.1
-    vote: float = 0.5
-    pilot: int = 100
+# The record-based divergence heuristic: a trajectory votes "divergent"
+# when its running maximum improves at some index j > _WINDOW * horizon
+# (the final decade of a log-spaced axis), and a batch raises once at
+# least _VOTE of its trajectories vote that way.  stationary_sample judges
+# on a pilot batch of _PILOT trajectories.
+_WINDOW, _VOTE, _PILOT = 0.1, 0.5, 100
+_TV_BINS = 64  # equal-mass bins of the pooled sample in tv_discrepancy
 
 
 @dataclass
@@ -246,7 +239,6 @@ def stationary_batch(
     *,
     threads: int = 1,
     check_divergence: bool = True,
-    divergence: DivergenceConfig = DivergenceConfig(),
 ) -> StationaryBatch:
     """``reps`` independent truncated stationary draws.
 
@@ -266,7 +258,7 @@ def stationary_batch(
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     _, sup = m.service.support()
-    s_up = min(sup, m.service.largest_draw())  # no term past it is a record
+    s_up = m.service.largest_draw()  # no term past it is a record
     if math.isfinite(sup) or _passes_within(m, s_up, reps, horizon):
         if isinstance(m.interarrival, Exponential) and math.isfinite(m.service.mean()):
             # Poisson arrivals: the newest service against the closed-form
@@ -289,11 +281,11 @@ def stationary_batch(
     )
     values, last_rec = (np.concatenate([p[i] for p in parts]) for i in (0, 1))
     tail_sums = sum(p[2] for p in parts)
-    win_start = int(divergence.window_fraction * horizon)
+    win_start = int(_WINDOW * horizon)
     frac = float(np.mean(last_rec > win_start))
     # below ~a decade of indices every path records inside the window and
     # the vote says nothing; judge only horizons long enough to separate
-    if check_divergence and win_start >= 10 and frac >= divergence.vote:
+    if check_divergence and win_start >= 10 and frac >= _VOTE:
         raise DivergenceSuspected(frac, horizon)
     residual = _fit_residual(grid, tail_sums / reps, horizon)
     return StationaryBatch(values=values, residual_bound=residual,
@@ -304,12 +296,10 @@ def stationary_sample(
     m: ModelSpec,
     horizon: int,
     stream: Stream,
-    *,
-    divergence: DivergenceConfig = DivergenceConfig(),
 ) -> tuple[float, float]:
     """One truncated stationary draw plus its residual bound.
 
-    A pilot batch (``divergence.pilot`` trajectories, first stream child)
+    A pilot batch (``_PILOT`` trajectories, first stream child)
     feeds the divergence check and the residual fit; the returned value is
     an independent single construction (second child) drawn in whole
     4096-wide blocks, so on a fixed seed it is non-decreasing in the horizon.
@@ -318,12 +308,8 @@ def stationary_sample(
     the draw stops after the block in which it passes: every later term is
     negative, so the value is the limit whatever the horizon.
     """
-    batch = stationary_batch(
-        m, horizon, max(1, divergence.pilot), stream.child(0),
-        divergence=divergence,
-    )
-    s_up = min(m.service.support()[1], m.service.largest_draw())
-    best, _, _ = _backward(m, 1, stream.child(1), horizon, s_up=s_up,
+    batch = stationary_batch(m, horizon, _PILOT, stream.child(0))
+    best, _, _ = _backward(m, 1, stream.child(1), horizon, s_up=m.service.largest_draw(),
                            block=_BLOCK_ELEMS >> 8)
     return float(best[0]), float(batch.residual_bound)
 
@@ -333,9 +319,6 @@ def stationary_window(
     width: int,
     back_horizon: int,
     stream: Stream,
-    *,
-    check_divergence: bool = True,
-    divergence: DivergenceConfig = DivergenceConfig(),
 ) -> StationaryWindow:
     """``width`` consecutive stationary values over one shared driver
     sequence; entry e is the workload seen by driver e + back_horizon.
@@ -366,11 +349,11 @@ def stationary_window(
     # end of the lookback, exactly as in the batch scan; the drained-chain
     # certificate alone cannot see it (heavy-tailed records come from
     # young chains, not the oldest one)
-    win_start = int(divergence.window_fraction * back_horizon)
+    win_start = int(_WINDOW * back_horizon)
     frac_late = float(np.mean(last_rec > win_start))
     frac_uncoupled = float(np.mean(~coupled))
     tripped = max(frac_late if win_start >= 10 else 0.0, frac_uncoupled)
-    if check_divergence and tripped >= divergence.vote:
+    if tripped >= _VOTE:
         raise DivergenceSuspected(tripped, back_horizon)
     return StationaryWindow(window=x, t=t, s=s, coupled=coupled,
                             back_horizon=back_horizon)
@@ -389,7 +372,6 @@ def tv_discrepancy(
     reps: int,
     stream: Stream,
     *,
-    bins: int = 64,
     threads: int = 1,
 ) -> TvReport:
     """Binned total-variation distance between the laws of X_n started at
@@ -401,8 +383,6 @@ def tv_discrepancy(
     """
     if reps < 10_000:
         raise ValueError("binned TV needs reps >= 10000")
-    if bins < 2:
-        raise ValueError("bins must be >= 2")
 
     def endpoints(x: float, st: Stream):
         parts = run_chunked(
@@ -414,7 +394,7 @@ def tv_discrepancy(
     bound = float(np.mean(ta <= x0))
 
     pooled = np.concatenate([xa, xb])
-    qs = np.arange(1, bins) / bins
+    qs = np.arange(1, _TV_BINS) / _TV_BINS
     inner = np.unique(np.quantile(pooled, qs))
     edges = np.concatenate([[-np.inf], inner, [np.inf]])
     tv = _binned_tv(xa, xb, edges)

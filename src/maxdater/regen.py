@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -53,7 +52,6 @@ class RegenParams:
 class RegenTrace:
     taus: np.ndarray
     r: np.ndarray
-    u_hat: Optional[np.ndarray] = None
 
 
 @dataclass

@@ -49,9 +49,6 @@ class Stream:
         key = tuple(self._seq.spawn_key) + tuple(path)
         return Stream(np.random.SeedSequence(self._seq.entropy, spawn_key=key))
 
-    def children(self, n: int) -> list["Stream"]:
-        return [self.child(i) for i in range(n)]
-
     @property
     def gen(self) -> np.random.Generator:
         if self._gen is None:

@@ -345,6 +345,20 @@ def test_erickson_pareto_orientations():
     assert rep.en_s1 == (math.inf, math.inf)
 
 
+@pytest.mark.parametrize("m, en, j_plus", [
+    # arrivals at 1, 2, ...: N(s) = floor(s), E N = P(s >= 1) + P(s >= 2);
+    # m_minus(x) = min(1, x), so J_plus = E max(s, 1)
+    (ModelSpec(Deterministic(1.0), Uniform(0.5, 2.5)), 1.0, 1.5625),
+    # Poisson arrivals: E N = lam E s
+    (ModelSpec(Exponential(1.0), Exponential(2.0)), 0.5, 1.28987),
+])
+def test_erickson_en_s1_brackets_the_exact_arrival_count(m, en, j_plus):
+    rep = erickson(m)
+    assert rep.j_plus == pytest.approx(j_plus, rel=1e-5)
+    assert rep.en_s1[0] <= en <= rep.en_s1[1]
+    assert rep.en_s1 == (rep.j_plus - 1.0, 2.0 * rep.j_plus - 1.0)
+
+
 def test_erickson_quadrature_against_oracle():
     rep = erickson(PAR_PR)
     want = j_value_oracle(Pareto(0.8, 1.0), Pareto(0.5, 1.0))
@@ -368,7 +382,7 @@ def test_j_value_of_a_mixture_is_the_weighted_sum_over_components(num, den):
     want, _ = integrate.quad(
         integrand, 0.0, 1.0, points=sorted(float(num.cdf(z)) for z in ends) or None,
         limit=400, epsabs=0.0, epsrel=1e-10)
-    assert abs(_j_value(num, den, 1e-10) - want) <= 1e-9 * want
+    assert abs(_j_value(num, den) - want) <= 1e-9 * want
 
 
 def test_erickson_finite_means_sign_rule():

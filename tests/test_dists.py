@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
 from maxdater import Stream
@@ -19,7 +19,6 @@ from maxdater.dists import (
     Pareto,
     TruncatedParetoOne,
     Uniform,
-    truncated_mean_by_quadrature,
 )
 
 from support import (
@@ -27,6 +26,7 @@ from support import (
     excess_mean_oracle,
     generalized_inverse_oracle,
     integrate_against,
+    model_catalogue,
     truncated_mean_oracle,
 )
 from test_streams import _top_stream  # every uniform is the top one
@@ -168,8 +168,6 @@ def test_truncated_mean_against_quadrature(d):
         got = float(d.truncated_mean(x))
         want = truncated_mean_oracle(d, x)
         assert got == pytest.approx(want, rel=1e-8, abs=1e-12)
-        # also the package's own quadrature fallback
-        assert truncated_mean_by_quadrature(d, x) == pytest.approx(want, rel=1e-8)
         assert got <= x + 1e-12
         m = d.mean()
         if math.isfinite(m):
@@ -630,15 +628,23 @@ def _mixture_of(comps):
     return Mixture(tuple((w / total, law) for w, law in comps))
 
 
+def _mixtures_of(laws):
+    return st.lists(st.tuples(st.floats(0.05, 1.0), laws),
+                    min_size=1, max_size=3).map(_mixture_of)
+
+
 # catalogue and extreme laws, and mixtures of them nested up to three deep
 _ANY_LAW = st.recursive(
     st.one_of(st.sampled_from(CATALOGUE + _EXTREMES), _mixture_laws()),
-    lambda inner: st.lists(st.tuples(st.floats(0.05, 1.0), inner),
-                           min_size=1, max_size=3).map(_mixture_of),
+    _mixtures_of,
     max_leaves=6)
 
 
-@pytest.mark.parametrize("d", CATALOGUE + _EXTREMES,
+# the laws of the test models, too
+_MODEL_LAWS = [d for _, m in model_catalogue() for d in (m.interarrival, m.service)]
+
+
+@pytest.mark.parametrize("d", CATALOGUE + _EXTREMES + _MODEL_LAWS,
                          ids=lambda d: type(d).__name__ + repr(d)[:40])
 def test_largest_draw_is_the_draw_at_the_top_uniform(d):
     # inversion is monotone in the uniform, so the top uniform gives the
@@ -671,3 +677,38 @@ def test_draws_never_exceed_the_largest_draw(d, seed):
     with np.errstate(over="ignore"):
         x = d.sample(Stream.from_seed(seed, 11), 500)
     assert np.all(x <= d.largest_draw())
+
+
+@st.composite
+def _uniform_laws(draw):
+    """Uniform(lo, hi) with lo up to 1e15 and widths from 1e3 lo down to
+    1e-15 lo, or a few ulps of lo."""
+    lo = draw(st.one_of(st.just(0.0), st.floats(1e-300, 1e15)))
+    if lo > 0.0 and draw(st.booleans()):
+        hi = lo
+        for _ in range(draw(st.integers(1, 8))):
+            hi = float(np.nextafter(hi, math.inf))
+    else:
+        hi = lo + max(lo, 1e-300) * 10.0 ** draw(st.floats(-15.0, 3.0))
+    assume(hi > lo)
+    return Uniform(lo, hi)
+
+
+_POSITIVE = st.floats(1e-300, 1e300)
+# laws of finite essential supremum, and mixtures of them
+_BOUNDED_LAW = st.recursive(
+    st.one_of(_uniform_laws(),
+              st.lists(_POSITIVE, min_size=1, max_size=6).map(DiscreteUniform),
+              _POSITIVE.map(Deterministic)),
+    _mixtures_of,
+    max_leaves=6)
+
+
+@given(d=_BOUNDED_LAW)
+@settings(max_examples=500, deadline=None)
+def test_largest_draw_lies_in_the_support_of_bounded_laws(d):
+    # the scans stop where every clock has passed largest_draw, so it must
+    # not exceed the essential supremum
+    lo, hi = d.support()
+    assert math.isfinite(hi)
+    assert lo <= d.largest_draw() <= hi

@@ -15,30 +15,10 @@ from maxdater.engine import (
     coupling_time,
     driving_draws,
     gg1_from_draws,
-    lindley_step,
-    maxdater_step,
     path_from_draws,
 )
 
 from support import RecordingLaw, forward_oracle, lindley_oracle, model_catalogue
-
-pos = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False)
-
-
-def test_step_values():
-    assert maxdater_step(5, 2, 4) == 4
-    assert maxdater_step(0, 1, 3) == 3
-    assert maxdater_step(10, 1, 2) == 9
-    assert lindley_step(0, 1, 2) == 0
-    assert lindley_step(3, 2, 1) == 4
-    assert lindley_step(1, 1, 5) == 0
-
-
-@given(x=st.floats(0, 1e6), t=pos, s=pos)
-@settings(max_examples=500, deadline=None)
-def test_step_matches_definition(x, t, s):
-    assert maxdater_step(x, t, s) == max(x - t, s)
-    assert lindley_step(x, s, t) == max(x + s - t, 0.0)
 
 
 def test_deterministic_paths():
