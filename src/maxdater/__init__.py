@@ -22,7 +22,6 @@ from .loynes import (
     stationary_batch,
     stationary_sample,
     stationary_window,
-    tv_discrepancy,
     DivergenceSuspected,
 )
 from .classify import (

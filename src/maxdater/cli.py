@@ -207,9 +207,9 @@ def _grid(ctx, node, key, path):
         ctx.err(f"{path}.{key}", "expected a non-empty list of increasing positives")
         return None
     vals = [float(v) for v in grid if _is_num(v)]
-    if (not all(_is_num(v) and v > 0 for v in grid)
+    if (not all(_is_num(v) and not bound_problem(v, exclusive_minimum=0.0) for v in grid)
             or any(b <= a for a, b in zip(vals, vals[1:]))):
-        ctx.err(f"{path}.{key}", "values must be positive and strictly increasing")
+        ctx.err(f"{path}.{key}", "values must be finite, positive and strictly increasing")
         return None
     return vals
 

@@ -94,7 +94,9 @@ CATALOGUE: dict[str, type[Distribution]] = {}
 
 def bound_problem(value, minimum=None, exclusive_minimum=None) -> Optional[str]:
     """Why ``value`` breaks the bound, as in 'must be > 0.0', or None when
-    it keeps it.  NaN keeps no bound."""
+    it keeps it.  A non-finite value keeps none."""
+    if not math.isfinite(value):
+        return "must be finite"
     if minimum is not None and not value >= minimum:
         return f"must be >= {minimum}"
     if exclusive_minimum is not None and not value > exclusive_minimum:

@@ -40,18 +40,16 @@ from typing import Optional
 import numpy as np
 
 from .dists import Exponential
-from .engine import _BLOCK_ELEMS, ModelSpec, _block, _endpoints, _epochs, _passing_steps
+from .engine import _BLOCK_ELEMS, ModelSpec, _block, _epochs, _passing_steps
 from .streams import Stream, run_chunked
 
 __all__ = [
     "StationaryBatch",
     "StationaryWindow",
-    "TvReport",
     "DivergenceSuspected",
     "stationary_batch",
     "stationary_sample",
     "stationary_window",
-    "tv_discrepancy",
 ]
 
 class DivergenceSuspected(RuntimeError):
@@ -73,7 +71,6 @@ class DivergenceSuspected(RuntimeError):
 # least _VOTE of its trajectories vote that way.  stationary_sample judges
 # on a pilot batch of _PILOT trajectories.
 _WINDOW, _VOTE, _PILOT = 0.1, 0.5, 100
-_TV_BINS = 64  # equal-mass bins of the pooled sample in tv_discrepancy
 
 
 @dataclass
@@ -101,16 +98,6 @@ class StationaryWindow:
     s: np.ndarray
     coupled: np.ndarray
     back_horizon: int
-
-
-@dataclass
-class TvReport:
-    tv_estimate: float
-    bound: float
-    null_floor: float
-    null_sd: float
-    bins: int
-    reps: int
 
 
 def _residual_grid(horizon: int) -> np.ndarray:
@@ -217,10 +204,15 @@ def _backward(m: ModelSpec, rows: int, stream: Stream, horizon: float, *,
     return np.maximum(best, 0.0), last_rec, tail_sums
 
 
-def _passes_within(m: ModelSpec, s_up: float, rows: int, horizon: int) -> bool:
-    """Whether the absorbing scan's bound on the steps ``rows`` clocks take
-    to pass ``s_up`` is within ``horizon``.  False where it has no bound:
-    an infinite ``s_up`` or a nonpositive inter-arrival median."""
+def _exact_route(m: ModelSpec, rows: int, horizon: int) -> bool:
+    """Whether ``rows`` draws within ``horizon`` are exact: the service law
+    is bounded, or the absorbing scan's bound on the steps ``rows`` clocks
+    take to pass its largest draw (``_passing_steps``) is within
+    ``horizon``.  False where that bound does not exist: an infinite
+    largest draw or a nonpositive inter-arrival median."""
+    if math.isfinite(m.service.support()[1]):
+        return True
+    s_up = m.service.largest_draw()
     if not math.isfinite(s_up):
         return False
     try:
@@ -257,9 +249,8 @@ def stationary_batch(
         raise ValueError("reps must be >= 1")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    _, sup = m.service.support()
-    s_up = m.service.largest_draw()  # no term past it is a record
-    if math.isfinite(sup) or _passes_within(m, s_up, reps, horizon):
+    if _exact_route(m, reps, horizon):
+        s_up = m.service.largest_draw()  # no term past it is a record
         if isinstance(m.interarrival, Exponential) and math.isfinite(m.service.mean()):
             # Poisson arrivals: the newest service against the closed-form
             # M/G/inf maximum of all older terms
@@ -299,19 +290,21 @@ def stationary_sample(
 ) -> tuple[float, float]:
     """One truncated stationary draw plus its residual bound.
 
-    A pilot batch (``_PILOT`` trajectories, first stream child)
-    feeds the divergence check and the residual fit; the returned value is
-    an independent single construction (second child) drawn in whole
-    4096-wide blocks, so on a fixed seed it is non-decreasing in the horizon.
-    Each block's service piece is cut where its clock passes the largest
-    service draw, found over the whole block, never from the horizon, and
-    the draw stops after the block in which it passes: every later term is
-    negative, so the value is the limit whatever the horizon.
+    Off the exact routes of ``stationary_batch``, a pilot batch (``_PILOT``
+    trajectories, first stream child) feeds the divergence check and the
+    residual fit; on them the residual is 0 and no pilot runs.  The value
+    is an independent single construction (second child) drawn in whole
+    4096-wide blocks, so on a fixed seed it is non-decreasing in the
+    horizon.  Each block's service piece is cut where its clock passes the
+    largest service draw, found over the whole block, never from the
+    horizon, and the draw stops after the block in which it passes: every
+    later term is negative, so the value is the limit whatever the horizon.
     """
-    batch = stationary_batch(m, horizon, _PILOT, stream.child(0))
+    residual = 0.0 if _exact_route(m, _PILOT, horizon) else (
+        stationary_batch(m, horizon, _PILOT, stream.child(0)).residual_bound)
     best, _, _ = _backward(m, 1, stream.child(1), horizon, s_up=m.service.largest_draw(),
                            block=_BLOCK_ELEMS >> 8)
-    return float(best[0]), float(batch.residual_bound)
+    return float(best[0]), float(residual)
 
 
 def stationary_window(
@@ -357,60 +350,3 @@ def stationary_window(
         raise DivergenceSuspected(tripped, back_horizon)
     return StationaryWindow(window=x, t=t, s=s, coupled=coupled,
                             back_horizon=back_horizon)
-
-
-def _binned_tv(a: np.ndarray, b: np.ndarray, edges: np.ndarray) -> float:
-    ca = np.histogram(a, bins=edges)[0] / len(a)
-    cb = np.histogram(b, bins=edges)[0] / len(b)
-    return 0.5 * float(np.sum(np.abs(ca - cb)))
-
-
-def tv_discrepancy(
-    m: ModelSpec,
-    x0: float,
-    n: int,
-    reps: int,
-    stream: Stream,
-    *,
-    threads: int = 1,
-) -> TvReport:
-    """Binned total-variation distance between the laws of X_n started at
-    x0 and started empty, plus the coupling bound P(T_n <= x0).
-
-    The null floor reports the same statistic between two halves of the
-    empty-start sample: binned TV of equal laws is biased up by sampling
-    noise, and the floor quantifies that bias for the given reps/bins.
-    """
-    if reps < 10_000:
-        raise ValueError("binned TV needs reps >= 10000")
-
-    def endpoints(x: float, st: Stream):
-        parts = run_chunked(
-            lambda st, start, count: _endpoints(m, np.full(count, x), n, st),
-            reps, st, threads=threads)
-        return [np.concatenate(p) for p in zip(*parts)]
-
-    (xa, ta), (xb, _) = endpoints(float(x0), stream.child(0)), endpoints(0.0, stream.child(1))
-    bound = float(np.mean(ta <= x0))
-
-    pooled = np.concatenate([xa, xb])
-    qs = np.arange(1, _TV_BINS) / _TV_BINS
-    inner = np.unique(np.quantile(pooled, qs))
-    edges = np.concatenate([[-np.inf], inner, [np.inf]])
-    tv = _binned_tv(xa, xb, edges)
-
-    # Split-half TVs of the empty-start sample calibrate the noise floor.
-    perm_gen = stream.child(2).gen
-    half = len(xb) // 2
-    nulls = []
-    for _ in range(8):
-        order = perm_gen.permutation(len(xb))
-        nulls.append(_binned_tv(xb[order[:half]], xb[order[half:2 * half]], edges))
-    return TvReport(
-        tv_estimate=tv,
-        bound=bound,
-        null_floor=float(np.mean(nulls)),
-        null_sd=float(np.std(nulls)),
-        bins=len(edges) - 1,
-        reps=reps,
-    )

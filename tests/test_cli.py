@@ -123,6 +123,30 @@ def test_cross_field_errors_name_the_law():
         assert [p for p in exc.value.problems if p.startswith(message)]
 
 
+@pytest.mark.parametrize("literal", ["Infinity", "1e400"])
+@pytest.mark.parametrize("command, body, where", [
+    ("simulate", {"model": {**EXP_EXP, "service": {"kind": "uniform", "lo": 0.0, "hi": "X"}}},
+     "model.service.hi"),
+    ("simulate", {"model": {**EXP_EXP, "service": {"kind": "mixture", "components": [
+        {"weight": "X", "dist": {"kind": "deterministic", "value": 1.0}},
+        {"weight": 0.5, "dist": {"kind": "deterministic", "value": 2.0}}]}}},
+     "model.service.components[0].weight"),
+    ("simulate", {"model": {**EXP_EXP, "service": {"kind": "discrete_uniform",
+                                                   "support": [1.0, "X"]}}},
+     "model.service.support[1]"),
+    ("simulate", {"model": EXP_EXP, "simulate": {"x0": "X"}}, "simulate.x0"),
+    ("tails", {"model": EXP_EXP, "tails": {"grid": [3.0, "X"]}}, "tails.grid"),
+], ids=["service.hi", "mixture.weight", "support.item", "simulate.x0", "tails.grid"])
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, body, where, literal):
+    # json reads Infinity and overflowing literals as inf, which passes
+    # every lower bound; it is a config error at the field's path
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(body).replace('"X"', literal))
+    capsys.readouterr()
+    assert run([command, "--config", str(cfg)]) == 2
+    assert f"{where}:" in capsys.readouterr().err
+
+
 # ------------------------------------------------- catalogue round trip
 #
 # Every concrete law in dists, found there rather than listed here, must

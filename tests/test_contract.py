@@ -10,6 +10,8 @@ import pkgutil
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import maxdater
 from maxdater import Stream
 
@@ -59,3 +61,20 @@ def test_every_exported_name_resolves():
     for mod in modules:
         for name in getattr(mod, "__all__", ()):
             assert hasattr(mod, name), f"{mod.__name__}.__all__ lists missing {name}"
+
+
+def test_benchmark_call_shapes_bind():
+    # the positional calls ``unit_costs`` makes: a changed signature there
+    # would surface only as a failed benchmark run
+    layers = _layers()
+    m, st, draws = layers.EXP_EXP, Stream.from_seed(0), np.zeros(4)
+    params = layers.regen.find_params(m)
+    for f, args in [(layers.loynes.stationary_batch, (m, 1000, 4096, st)),
+                    (layers.loynes.stationary_batch, (m, 1, 1 << 14, st)),
+                    (layers.classify.tail_series, (m, 10_000, 128, st)),
+                    (layers.classify.occupation_estimate, (m, 0.0, 1.0, 1000, 64, st)),
+                    (layers.regen.renewal_tests, (m, params, 1000, 2000, st)),
+                    (layers.regen.find_params, (m,)),
+                    (layers.engine.path_from_draws, (0.0, draws, draws)),
+                    (layers.engine.gg1_from_draws, (0.0, draws, draws))]:
+        inspect.signature(f).bind(*args)

@@ -104,6 +104,12 @@ def test_parameter_validation():
         DiscreteUniform((0.0, 1.0))
     with pytest.raises(ValueError):
         Mixture(((0.6, Deterministic(1.0)), (0.6, Deterministic(2.0))))
+    # +inf passes every lower bound, but no law has it as a parameter
+    for x in (math.inf, math.nan):
+        for make in (Exponential, lambda x: Pareto(1.5, x), lambda x: Uniform(0.0, x),
+                     lambda x: DiscreteUniform((1.0, x))):
+            with pytest.raises(ValueError, match="must be finite"):
+                make(x)
 
 
 @pytest.mark.parametrize("d", CATALOGUE, ids=lambda d: type(d).__name__ + repr(d)[:30])

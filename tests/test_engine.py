@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from maxdater import ModelSpec, Stream, simulate_path, simulate_gg1
 from maxdater import engine
 from maxdater.classify import occupation_estimate
-from maxdater.loynes import tv_discrepancy
 from maxdater.regen import find_params, renewal_tests
 from maxdater.dists import Deterministic, Distribution, Exponential, Pareto
 from maxdater.engine import (
@@ -175,9 +174,6 @@ def test_batched_paths_draw_whole_pieces(monkeypatch):
     m = ModelSpec(Exponential(1.0), Exponential(1.0))
     occupation_estimate(m, 0.0, 1.0, 5000, 4, Stream.from_seed(0))
     assert len(calls) == 2 * 4  # four one-row chunks, one piece each
-    calls.clear()
-    tv_discrepancy(m, 1.0, 50, 10_000, Stream.from_seed(0))
-    assert len(calls) == 2 * 2 * 64  # two samples of 64 chunks
     calls.clear()
     params = find_params(m)
     renewal_tests(m, params, 1000, 20_000, Stream.from_seed(0))

@@ -1,5 +1,5 @@
-"""Backward construction, truncated stationary sampling, window identity,
-and the total-variation check."""
+"""Backward construction, truncated stationary sampling and the window
+identity."""
 
 import math
 import tracemalloc
@@ -19,14 +19,15 @@ from maxdater.dists import (
     Uniform,
 )
 from maxdater.engine import _passing_steps
+from maxdater.engine import _BLOCK_ELEMS
 from maxdater.loynes import (
+    _PILOT,
     DivergenceSuspected,
     _backward,
     _residual_grid,
     stationary_batch,
     stationary_sample,
     stationary_window,
-    tv_discrepancy,
 )
 from maxdater.streams import chunk_plan, run_chunked
 
@@ -37,6 +38,7 @@ from support import (
     enumerate_discrete_stationary,
     ks_pvalue,
     mginf_cdf,
+    model_catalogue,
     piecewise_backward_oracle,
 )
 
@@ -184,28 +186,6 @@ def test_window_divergence():
         stationary_window(DIVERGENT, 64, 3000, Stream.from_seed(13))
     with pytest.raises(ValueError):
         stationary_window(DIVERGENT, 1, 10, Stream.from_seed(13))
-
-
-def test_tv_same_law_cases():
-    # deterministic arrivals, x0 below T_3: the bound is exactly zero and
-    # the start state cannot show through
-    m = ModelSpec(Deterministic(1.0), Exponential(1.0))
-    rep = tv_discrepancy(m, 2.5, 3, 20_000, Stream.from_seed(14))
-    assert rep.bound == 0.0
-    assert rep.tv_estimate <= rep.null_floor + 3 * rep.null_sd
-    # x0 = 0: both samples target the same chain
-    m = ModelSpec(Exponential(1.0), Exponential(1.0))
-    rep = tv_discrepancy(m, 0.0, 4, 20_000, Stream.from_seed(15))
-    assert rep.tv_estimate <= rep.null_floor + 3 * rep.null_sd
-
-
-def test_tv_bounded_by_coupling_probability():
-    m = ModelSpec(Exponential(1.0), Exponential(1.0))
-    rep = tv_discrepancy(m, 1.0, 5, 30_000, Stream.from_seed(16))
-    assert 0.0 < rep.bound < 1.0
-    assert rep.tv_estimate <= rep.bound + rep.null_floor + 3 * rep.null_sd
-    with pytest.raises(ValueError):
-        tv_discrepancy(m, 1.0, 5, 100, Stream.from_seed(16))
 
 
 # ------------------------------------------------------- backward kernel
@@ -543,6 +523,45 @@ def test_route_needs_a_positive_median():
     m = ModelSpec(_StubArrivals(0.0, 1.0), Exponential(1.0))
     batch = stationary_batch(m, 50, 10, Stream.from_seed(0))
     assert not batch.exact and np.all(batch.values > 0.0)
+
+
+def _single_construction(m, horizon, stream):
+    return _backward(m, 1, stream, horizon, s_up=m.service.largest_draw(),
+                     block=_BLOCK_ELEMS >> 8)[0][0]
+
+
+@pytest.mark.parametrize("m", [m for _, m in model_catalogue()],
+                         ids=[name for name, _ in model_catalogue()])
+def test_stationary_sample_is_one_construction_and_the_pilot_residual(m):
+    # the value is the single construction on the second child, bit for
+    # bit; the residual is the pilot batch's on the first, and either both
+    # raise DivergenceSuspected or neither does
+    for horizon in (1, 10, 64, 1000):
+        stream = Stream.from_seed(horizon)
+        try:
+            resid = stationary_batch(m, horizon, _PILOT, stream.child(0)).residual_bound
+        except DivergenceSuspected:
+            with pytest.raises(DivergenceSuspected):
+                stationary_sample(m, horizon, stream)
+            continue
+        value, got = stationary_sample(m, horizon, stream)
+        assert value.hex() == float(_single_construction(m, horizon, stream.child(1))).hex()
+        assert got.hex() == float(resid).hex()
+
+
+@pytest.mark.parametrize("m, horizon", [
+    (ModelSpec(Deterministic(1.0), DiscreteUniform((1.0, 2.0, 3.0))), 64),
+    (ModelSpec(Exponential(1.0), Uniform(0.0, 2.0)), 1),
+    (EXP_EXP, 1000),  # unbounded, within the passing bound of 100 clocks
+], ids=["det_du", "exp_unif", "exp_exp"])
+def test_stationary_sample_runs_no_pilot_on_exact_routes(m, horizon, monkeypatch):
+    def no_pilot(*args, **kwargs):
+        raise AssertionError("the pilot batch ran on an exact route")
+
+    monkeypatch.setattr(loynes, "stationary_batch", no_pilot)
+    stream = Stream.from_seed(7)
+    value = _single_construction(m, horizon, stream.child(1))
+    assert stationary_sample(m, horizon, stream) == (value, 0.0)
 
 
 def test_backward_kernel_frees_the_carried_epochs():
