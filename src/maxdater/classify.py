@@ -457,7 +457,7 @@ def classify(m: ModelSpec, cfg: ClassifierConfig = None,
 
     if definitive:
         diags = _series(m, (_TAIL,) + pair, **run)
-        mc = _combine_mc(*diags)
+        mc = _combine_mc(*(d.verdict for d in diags))
         notes = analytic.notes
         if mc is not analytic.verdict:
             notes += ("; series diagnostics read {} (numerical evidence "
@@ -466,19 +466,11 @@ def classify(m: ModelSpec, cfg: ClassifierConfig = None,
                                     diagnostics=diags, notes=notes)
 
     if analytic is not None:
-        # positive recurrence excluded analytically; series separate the rest
+        # positive recurrence excluded analytically, as by a diverging tail series
         diags = _series(m, pair, **run)
-        trans, rec = (d.verdict for d in diags)
-        if trans is SeriesVerdict.CONVERGES and rec is not SeriesVerdict.DIVERGES:
-            verdict, how = Verdict.TRANSIENT, "transience series converges (numerical evidence)"
-        elif rec is SeriesVerdict.DIVERGES and trans is not SeriesVerdict.CONVERGES:
-            verdict, how = (Verdict.NULL_RECURRENT,
-                            "recurrence series diverges (numerical evidence)")
-        else:
-            verdict, how = (Verdict.INCONCLUSIVE, "series diagnostics did not "
-                            "separate transient from null recurrent")
+        verdict = _combine_mc(SeriesVerdict.DIVERGES, *(d.verdict for d in diags))
         return ClassificationReport(verdict=verdict, source=Source.BOTH, diagnostics=diags,
-                                    notes=analytic.notes + "; " + how)
+                                    notes=analytic.notes + "; " + _SEPARATED[verdict])
 
     diags = _series(m, (_TAIL,) + pair, **run)
     tail, trans, rec = diags
@@ -488,7 +480,7 @@ def classify(m: ModelSpec, cfg: ClassifierConfig = None,
             diagnostics=[tail],
             notes="tail series converges on a {:.0%} vote (numerical "
                   "evidence)".format(tail.votes_converge))
-    verdict = _combine_mc(tail, trans, rec)
+    verdict = _combine_mc(tail.verdict, trans.verdict, rec.verdict)
     notes = ("tail series {}; transience series {}; recurrence series {} "
              "(numerical evidence)").format(
         tail.verdict.value, trans.verdict.value, rec.verdict.value)
@@ -496,17 +488,24 @@ def classify(m: ModelSpec, cfg: ClassifierConfig = None,
                                 diagnostics=diags, notes=notes)
 
 
-def _combine_mc(tail: SeriesDiagnostic, trans: SeriesDiagnostic,
-                rec: SeriesDiagnostic) -> Verdict:
-    if trans.verdict is SeriesVerdict.CONVERGES and rec.verdict is SeriesVerdict.DIVERGES:
+def _combine_mc(tail: SeriesVerdict, trans: SeriesVerdict, rec: SeriesVerdict) -> Verdict:
+    if trans is SeriesVerdict.CONVERGES and rec is SeriesVerdict.DIVERGES:
         return Verdict.INCONCLUSIVE  # the two certificates contradict
-    if tail.verdict is SeriesVerdict.CONVERGES:
+    if tail is SeriesVerdict.CONVERGES:
         return Verdict.POSITIVE_RECURRENT
-    if trans.verdict is SeriesVerdict.CONVERGES:
+    if trans is SeriesVerdict.CONVERGES:
         return Verdict.TRANSIENT
-    if tail.verdict is SeriesVerdict.DIVERGES and rec.verdict is SeriesVerdict.DIVERGES:
+    if tail is SeriesVerdict.DIVERGES and rec is SeriesVerdict.DIVERGES:
         return Verdict.NULL_RECURRENT
     return Verdict.INCONCLUSIVE
+
+
+# what the series made of a phase the analytic rules left open
+_SEPARATED = {
+    Verdict.TRANSIENT: "transience series converges (numerical evidence)",
+    Verdict.NULL_RECURRENT: "recurrence series diverges (numerical evidence)",
+    Verdict.INCONCLUSIVE: "series diagnostics did not separate transient from null recurrent",
+}
 
 
 # ------------------------------------------------- drift classification

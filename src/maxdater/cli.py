@@ -69,30 +69,29 @@ class _Ctx:
         self.problems.append(f"{path}: {msg}")
 
 
-def _is_num(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _number(ctx, path, v, *, integer=False, minimum=None, exclusive_minimum=None):
+    """Every number the program takes in, from a config or a flag: v as an
+    int or a float within its bound, or None once the reason is reported."""
+    if (isinstance(v, bool) or not isinstance(v, (int, float))
+            or integer and isinstance(v, float) and not v.is_integer()):
+        ctx.err(path, "expected an integer" if integer else "expected a number")
+        return None
+    problem = bound_problem(v, minimum, exclusive_minimum)
+    if problem:
+        ctx.err(path, problem)
+        return None
+    return int(v) if integer else float(v)
 
 
 def _num(ctx, node, key, path, *, default=None, required=False,
-         integer=False, minimum=None, exclusive_minimum=None,
-         allow_none=False):
+         allow_none=False, **spec):
     if key not in node:
         if required:
             ctx.err(f"{path}.{key}", "required field missing")
         return default
-    v = node[key]
-    if v is None and allow_none:
+    if node[key] is None and allow_none:
         return None
-    if not _is_num(v) or (integer and not float(v).is_integer()):
-        ctx.err(f"{path}.{key}", "expected {}".format(
-            "an integer" if integer else "a number"))
-        return default
-    v = int(v) if integer else float(v)
-    problem = bound_problem(v, minimum, exclusive_minimum)
-    if problem:
-        ctx.err(f"{path}.{key}", problem)
-        return default
-    return v
+    return _number(ctx, f"{path}.{key}", node[key], **spec)
 
 
 def _reject_unknown(ctx, node, path, allowed):
@@ -105,10 +104,8 @@ def _law_numbers(ctx, node, key, path, **bound):
     if not isinstance(vals, list) or not vals:
         ctx.err(f"{path}.{key}", "expected a non-empty list of positive numbers")
         return None
-    bad = [i for i, v in enumerate(vals) if not _is_num(v) or bound_problem(v, **bound)]
-    for i in bad:
-        ctx.err(f"{path}.{key}[{i}]", "must be a positive number")
-    return None if bad else tuple(float(v) for v in vals)
+    vals = [_number(ctx, f"{path}.{key}[{i}]", v, **bound) for i, v in enumerate(vals)]
+    return None if None in vals else tuple(vals)
 
 
 def _law_weighted(ctx, node, key, path, **bound):
@@ -170,6 +167,13 @@ def _parse_dist(ctx, node, path):
         return None
 
 
+def _law(ctx, node, key, path):
+    if key not in node:
+        ctx.err(f"{path}.{key}", "required field missing")
+        return None
+    return _parse_dist(ctx, node[key], f"{path}.{key}")
+
+
 def _setting(ctx, node, key, path, *, default, **bounds):
     if not isinstance(default, bool):
         return _num(ctx, node, key, path, default=default, **bounds)
@@ -200,23 +204,20 @@ def _thresholds(ctx, node, key, path):
 
 
 def _grid(ctx, node, key, path):
-    grid = node.get(key)
-    if grid is None:
+    if node.get(key) is None:
         return None
-    if not isinstance(grid, list) or not grid:
-        ctx.err(f"{path}.{key}", "expected a non-empty list of increasing positives")
-        return None
-    vals = [float(v) for v in grid if _is_num(v)]
-    if (not all(_is_num(v) and not bound_problem(v, exclusive_minimum=0.0) for v in grid)
-            or any(b <= a for a, b in zip(vals, vals[1:]))):
-        ctx.err(f"{path}.{key}", "values must be finite, positive and strictly increasing")
-        return None
-    return vals
+    grid = _law_numbers(ctx, node, key, path, exclusive_minimum=0.0)
+    if grid and any(b <= a for a, b in zip(grid, grid[1:])):
+        ctx.err(f"{path}.{key}", "values must be strictly increasing")
+    return grid
 
 
 _CLASSIFY = ClassifierConfig()
 
-# Each section's settings.  Flag overrides are held to the same bounds.
+# The top-level settings and each section's; flag overrides meet the same.
+_ROOT = {"schema": dict(default=_SCHEMA, integer=True),
+         "seed": dict(default=0, integer=True, minimum=0),
+         "threads": dict(default=1, integer=True, minimum=1)}
 _SECTIONS = {
     "simulate": {
         "x0": dict(default=0.0, minimum=0.0),
@@ -263,32 +264,22 @@ def validate_config(text: str) -> ExperimentConfig:
         raise ValidationError([f"(root): not valid JSON ({exc})"])
     if not isinstance(root, dict):
         raise ValidationError(["(root): expected a JSON object"])
-    allowed = {"schema", "seed", "threads", "model"} | set(_SECTIONS)
+    allowed = {*_ROOT, "model", *_SECTIONS}
     _reject_unknown(ctx, root, "(root)", allowed)
-    schema = _num(ctx, root, "schema", "(root)", default=_SCHEMA, integer=True)
+    schema, seed, threads = (_num(ctx, root, key, "(root)", **spec)
+                             for key, spec in _ROOT.items())
     if schema is not None and schema != _SCHEMA:
         ctx.err("(root).schema", f"unsupported schema version {schema}")
-    seed = _num(ctx, root, "seed", "(root)", default=0, integer=True, minimum=0)
-    threads = _num(ctx, root, "threads", "(root)", default=1, integer=True, minimum=1)
     model = None
     if "model" not in root:
         ctx.err("(root).model", "required field missing")
     elif not isinstance(root["model"], dict):
         ctx.err("(root).model", "expected an object")
     else:
-        mnode = root["model"]
-        _reject_unknown(ctx, mnode, "model", {"interarrival", "service"})
-        inter = serv = None
-        if "interarrival" not in mnode:
-            ctx.err("model.interarrival", "required field missing")
-        else:
-            inter = _parse_dist(ctx, mnode["interarrival"], "model.interarrival")
-        if "service" not in mnode:
-            ctx.err("model.service", "required field missing")
-        else:
-            serv = _parse_dist(ctx, mnode["service"], "model.service")
-        if inter is not None and serv is not None:
-            model = ModelSpec(interarrival=inter, service=serv)
+        laws = _parse_section(ctx, root["model"], "model",
+                              {"interarrival": _law, "service": _law})
+        if None not in laws.values():
+            model = ModelSpec(**laws)
     sections = {}
     for name, specs in _SECTIONS.items():
         node = root.get(name, {})
@@ -558,30 +549,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(cfg: ExperimentConfig, command: str, args) -> list:
-    problems = []
-    for flag, low in (("seed", 0), ("threads", 1)):
-        value = getattr(args, flag)
-        if value is not None and value < low:
-            problems.append(f"--{flag}: must be >= {low}")
-        elif value is not None:
-            setattr(cfg, flag, value)
+def _apply_overrides(cfg: ExperimentConfig, command: str, args) -> None:
+    """Set each flag given over the field it overrides, read as that field
+    is; raises ValidationError naming every flag that fails."""
+    ctx = _Ctx()
     name = "classify" if command == "compare" else command
-    for flag in ("reps", "horizon", "n"):
+    for flag in ("seed", "threads", "reps", "horizon", "n"):
         value = getattr(args, flag)
         if value is None:
             continue
         key = "samples" if flag == "reps" and command == "tails" else flag
-        spec = _SECTIONS[name].get(key)
-        if spec is None:
-            problems.append(f"--{flag}: not applicable to {command}")
+        target, specs = ((vars(cfg), _ROOT) if flag in _ROOT
+                         else (cfg.sections[name], _SECTIONS[name]))
+        if key not in specs:
+            ctx.err(f"--{flag}", f"not applicable to {command}")
             continue
-        problem = bound_problem(value, spec.get("minimum"), spec.get("exclusive_minimum"))
-        if problem:
-            problems.append(f"--{flag}: {problem}")
-        else:
-            cfg.sections[name][key] = value
-    return problems
+        spec = {k: v for k, v in specs[key].items() if k != "default"}
+        value = _number(ctx, f"--{flag}", value, **spec)
+        if value is not None:
+            target[key] = value
+    if ctx.problems:
+        raise ValidationError(ctx.problems)
 
 
 def _write_csv(path: str, rows) -> None:
@@ -604,13 +592,9 @@ def run(argv=None) -> int:
         return 2
     try:
         cfg = validate_config(text)
+        _apply_overrides(cfg, args.command, args)
     except ValidationError as exc:
         for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return 2
-    problems = _apply_overrides(cfg, args.command, args)
-    if problems:
-        for problem in problems:
             print(f"config error: {problem}", file=sys.stderr)
         return 2
     stream = Stream.from_seed(cfg.seed)

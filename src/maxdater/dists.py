@@ -94,8 +94,13 @@ CATALOGUE: dict[str, type[Distribution]] = {}
 
 def bound_problem(value, minimum=None, exclusive_minimum=None) -> Optional[str]:
     """Why ``value`` breaks the bound, as in 'must be > 0.0', or None when
-    it keeps it.  A non-finite value keeps none."""
-    if not math.isfinite(value):
+    it keeps it.  A non-finite value keeps none, nor does an int that no
+    double holds."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
         return "must be finite"
     if minimum is not None and not value >= minimum:
         return f"must be >= {minimum}"
@@ -468,8 +473,8 @@ class DiscreteUniform(Distribution, kind="discrete_uniform"):
     values: tuple[float, ...] = _param("support", exclusive_minimum=0.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(sorted(float(v) for v in self.values)))
         super().__post_init__()
+        object.__setattr__(self, "values", tuple(sorted(float(v) for v in self.values)))
         if len(self.values) == 0:
             raise ValueError("values must be non-empty")
 

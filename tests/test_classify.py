@@ -2,6 +2,7 @@
 occupation counts, and the single-server comparison."""
 
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from maxdater import ModelSpec, Stream
 from maxdater.classify import (
     ClassifierConfig,
+    SeriesDiagnostic,
     SeriesVerdict,
     Verdict,
     WalkVerdict,
@@ -197,6 +199,34 @@ def test_classify_refines_excluded_pr():
                            Verdict.INCONCLUSIVE)
     assert rep.source.value in ("both", "monte_carlo")
     assert len(rep.diagnostics) >= 2
+
+
+@pytest.mark.parametrize("trans", list(SeriesVerdict), ids=lambda v: "trans_" + v.value)
+@pytest.mark.parametrize("rec", list(SeriesVerdict), ids=lambda v: "rec_" + v.value)
+def test_excluded_pr_phase_from_each_series_pair(monkeypatch, trans, rec):
+    # with positive recurrence excluded analytically, a converging
+    # transience series alone reads transient, a diverging recurrence
+    # series alone null recurrent, and any other pair leaves the phase open
+    def stub_series(m, series, **run):
+        return [SeriesDiagnostic(kind=kind, grid=np.array([1000]), partial_sums=np.zeros(1),
+                                 slope=0.0, verdict=v, params=params)
+                for (kind, _, params), v in zip(series, (trans, rec), strict=True)]
+
+    monkeypatch.setattr(importlib.import_module("maxdater.classify"), "_series", stub_series)
+    m = ModelSpec(Pareto(1.5, 1.0), Pareto(0.8, 1.0))
+    assert analytic_phase(m).verdict is Verdict.INCONCLUSIVE
+    converges, diverges = SeriesVerdict.CONVERGES, SeriesVerdict.DIVERGES
+    if trans is converges and rec is not diverges:
+        verdict, how = Verdict.TRANSIENT, "transience series converges (numerical evidence)"
+    elif rec is diverges and trans is not converges:
+        verdict, how = Verdict.NULL_RECURRENT, "recurrence series diverges (numerical evidence)"
+    else:
+        verdict, how = (Verdict.INCONCLUSIVE,
+                        "series diagnostics did not separate transient from null recurrent")
+    rep = classify(m, ClassifierConfig(), Stream.from_seed(0))
+    assert rep.verdict is verdict
+    assert rep.source.value == "both"
+    assert rep.notes == analytic_phase(m).notes + "; " + how
 
 
 def test_classify_monte_carlo_pr():

@@ -123,7 +123,8 @@ def test_cross_field_errors_name_the_law():
         assert [p for p in exc.value.problems if p.startswith(message)]
 
 
-@pytest.mark.parametrize("literal", ["Infinity", "1e400"])
+@pytest.mark.parametrize("literal", ["Infinity", "1e400", "9" * 401],
+                         ids=["Infinity", "1e400", "int401"])
 @pytest.mark.parametrize("command, body, where", [
     ("simulate", {"model": {**EXP_EXP, "service": {"kind": "uniform", "lo": 0.0, "hi": "X"}}},
      "model.service.hi"),
@@ -135,11 +136,12 @@ def test_cross_field_errors_name_the_law():
                                                    "support": [1.0, "X"]}}},
      "model.service.support[1]"),
     ("simulate", {"model": EXP_EXP, "simulate": {"x0": "X"}}, "simulate.x0"),
-    ("tails", {"model": EXP_EXP, "tails": {"grid": [3.0, "X"]}}, "tails.grid"),
+    ("tails", {"model": EXP_EXP, "tails": {"grid": [3.0, "X"]}}, "tails.grid[1]"),
 ], ids=["service.hi", "mixture.weight", "support.item", "simulate.x0", "tails.grid"])
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, body, where, literal):
-    # json reads Infinity and overflowing literals as inf, which passes
-    # every lower bound; it is a config error at the field's path
+    # json reads Infinity and overflowing float literals as inf, which
+    # passes every lower bound, and an integer literal as an int that no
+    # double holds; each is a config error at the field's path
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(body).replace('"X"', literal))
     capsys.readouterr()
@@ -225,6 +227,55 @@ def test_config_round_trips_every_law(cls, data):
     again = validate_config(json.dumps(echo))
     assert again.model == cfg.model
     assert _resolved_config(again, "simulate") == echo
+
+
+# ------------------------------------------- any value in any one field
+#
+# A valid config holds every section setting (the defaults validation fills
+# in, a grid added) and two laws drawn from their dataclass fields.  Any JSON
+# value put into any one field, list item or object of it either validates
+# or is a ValidationError: never another exception.
+
+SECTIONS = json.dumps({**validate_config(json.dumps({"model": EXP_EXP})).sections,
+                       "tails": {"grid": [1.0, 2.0]}})
+# ints up to 2**2000 by the general strategy, and those no double holds by
+# their own, which the general one seldom draws
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=4)
+    | st.integers(-2**2000, 2**2000)
+    | st.integers(2**1024, 2**2000) | st.integers(-2**2000, -2**1024),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids,
+                                                               max_size=3),
+    max_leaves=5)
+
+
+def _paths(node, path=()):
+    """The path of every member of a config node and of all it holds."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@pytest.mark.parametrize("cls", LAWS, ids=lambda cls: cls.__name__)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_any_value_in_any_field_validates_or_is_a_config_error(cls, data):
+    _, inter = data.draw(law_and_node(cls, depth=1))
+    _, serv = data.draw(any_law(depth=1))
+    config = {"schema": 1, "seed": 0, "threads": 1,
+              "model": {"interarrival": inter, "service": serv}, **json.loads(SECTIONS)}
+    validate_config(json.dumps(config))
+    *parents, key = data.draw(st.sampled_from(list(_paths(config))))
+    node = config
+    for k in parents:
+        node = node[k]
+    node[key] = data.draw(JSON_VALUES)
+    try:
+        validate_config(json.dumps(config))
+    except ValidationError:
+        pass
 
 
 # ----------------------------------------------------------- worked runs
@@ -419,6 +470,10 @@ def test_override_held_to_section_bounds(tmp_path, capsys):
     assert "--reps: must be >= 1000" in capsys.readouterr().err
     assert run(["classify", "--config", cfg, "--reps", "5"]) == 2
     assert "--reps: must be >= 100" in capsys.readouterr().err
+    # a flag is read as its field is: an int that no double holds is no size
+    assert run(["stationary", "--config", cfg, "--reps", "9" * 401]) == 2
+    err = capsys.readouterr().err
+    assert "config error: --reps: must be finite" in err and "Traceback" not in err
 
 
 def test_reps_override_maps_to_samples_for_tails(tmp_path, capsys):

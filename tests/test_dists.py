@@ -104,8 +104,9 @@ def test_parameter_validation():
         DiscreteUniform((0.0, 1.0))
     with pytest.raises(ValueError):
         Mixture(((0.6, Deterministic(1.0)), (0.6, Deterministic(2.0))))
-    # +inf passes every lower bound, but no law has it as a parameter
-    for x in (math.inf, math.nan):
+    # +inf passes every lower bound, but no law has it as a parameter, nor
+    # an int that no double holds
+    for x in (math.inf, math.nan, 10**400):
         for make in (Exponential, lambda x: Pareto(1.5, x), lambda x: Uniform(0.0, x),
                      lambda x: DiscreteUniform((1.0, x))):
             with pytest.raises(ValueError, match="must be finite"):
