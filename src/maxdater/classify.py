@@ -41,7 +41,7 @@ from .dists import (
     QuadratureError,
     TruncatedParetoOne,
 )
-from .engine import ModelSpec, _block, _epochs, _forward
+from .engine import ModelSpec, _block, _epochs, _forward, _median0, _unique
 from .streams import Stream, run_chunked
 
 __all__ = [
@@ -158,7 +158,7 @@ class EricksonReport:
 
 
 def _log_grid(n_max: int) -> np.ndarray:
-    return np.unique(np.round(np.geomspace(1, n_max, _GRID_POINTS)).astype(np.int64))
+    return _unique(np.round(np.geomspace(1, n_max, _GRID_POINTS)).astype(np.int64))
 
 
 def _series_verdict(grid, sums, thr: SeriesThresholds):
@@ -253,7 +253,7 @@ def _diagnostic(kind: SeriesKind, params: dict, grid: np.ndarray,
         vc = sum(v is SeriesVerdict.CONVERGES for v in verdicts) / len(verdicts)
         vd = sum(v is SeriesVerdict.DIVERGES for v in verdicts) / len(verdicts)
         votes = dict(votes_converge=vc, votes_diverge=vd)
-        partial = np.median(sums, axis=0)
+        partial = _median0(sums)
         _, slope = _series_verdict(grid, partial, thr)
         verdict = (SeriesVerdict.CONVERGES if vc >= thr.vote_majority else
                    SeriesVerdict.DIVERGES if vd >= thr.vote_majority else

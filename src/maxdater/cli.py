@@ -15,7 +15,6 @@ Exit codes: 0 success, 2 config error, 3 inconclusive verdict under
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import itertools
 import json
@@ -30,7 +29,7 @@ import numpy as np
 from . import __version__
 from .classify import ClassifierConfig, SeriesThresholds, Verdict, classify, compare_queues
 from .dists import CATALOGUE, Distribution, bound_problem
-from .engine import ModelSpec, simulate_gg1, simulate_path
+from .engine import ModelSpec, _quantiles, simulate_gg1, simulate_path
 from .loynes import DivergenceSuspected, stationary_batch
 from .regen import detect, find_params, phi_sample, renewal_tests
 from .streams import Stream
@@ -424,7 +423,7 @@ def _cmd_stationary(cfg: ExperimentConfig, stream: Stream, strict: bool):
         }
         return result, [("value",)], 0
     values = batch.values
-    qs = dict(zip((0.5, 0.9, 0.99), np.quantile(values, [0.5, 0.9, 0.99]).tolist()))
+    qs = dict(zip((0.5, 0.9, 0.99), _quantiles(values, [0.5, 0.9, 0.99]).tolist()))
     result = {
         "divergence_suspected": False,
         "reps": batch.reps,
@@ -573,6 +572,7 @@ def _apply_overrides(cfg: ExperimentConfig, command: str, args) -> None:
 
 
 def _write_csv(path: str, rows) -> None:
+    import csv  # only --csv runs load it
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerows(rows)

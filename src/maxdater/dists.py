@@ -527,8 +527,9 @@ class DiscreteUniform(Distribution, kind="discrete_uniform"):
 class Mixture(Distribution, kind="mixture"):
     """Finite mixture: components is a tuple of (weight, distribution).
 
-    The weights must sum to 1 within 1e-9.  Weights whose left-to-right sum
-    is not exactly 1.0 are stored rescaled, so that the cdf reaches 1.
+    Each weight must be <= 1 and the weights must sum to 1 within 1e-9.
+    Weights whose left-to-right sum is not exactly 1.0 are stored
+    rescaled, so that the cdf reaches 1.
     """
 
     components: tuple[tuple[float, Distribution], ...] = _param(exclusive_minimum=0.0)
@@ -537,6 +538,8 @@ class Mixture(Distribution, kind="mixture"):
         super().__post_init__()
         if len(self.components) == 0:
             raise ValueError("mixture needs at least one component")
+        if any(w > 1.0 for w, _ in self.components):  # and fsum cannot overflow
+            raise ValueError("mixture weights must be <= 1")
         total = math.fsum(w for w, _ in self.components)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"mixture weights must sum to 1 (got {total!r})")

@@ -115,6 +115,32 @@ def _passing_steps(m: ModelSpec, level: float, rows: int, who: str, what: str):
     return 4 * (math.ceil(level / median) + math.ceil(math.log(rows * 1e12))), median
 
 
+# numpy's quantile, median and unique import numpy.ma (over 1 MB a process);
+# these give their bits for NaN-free values >= 0 from np.partition, np.sort.
+def _quantiles(values: np.ndarray, qs) -> np.ndarray:
+    """np.quantile(values, qs), method 'linear', of 1-d values, qs in [0, 1]."""
+    n = len(values)
+    at = (n - 1) * np.asarray(qs, dtype=float)
+    lo = np.floor(at).astype(np.intp)
+    hi = np.minimum(lo + 1, n - 1)
+    part = np.partition(values, np.concatenate((lo, hi)))
+    a, b, t = part[lo], part[hi], at - lo
+    return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
+
+
+def _median0(a: np.ndarray) -> np.ndarray:
+    """np.median(a, axis=0), which halves the sum of the middle two."""
+    h = len(a) // 2
+    part = np.partition(a, [h - 1, h], axis=0)
+    return part[h] if len(a) % 2 else (part[h - 1] + part[h]) / 2
+
+
+def _unique(a: np.ndarray) -> np.ndarray:
+    """np.unique(a)."""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))]
+
+
 def _epochs(t: np.ndarray, offset: np.ndarray) -> np.ndarray:
     """Arrival epochs of a (paths, block) piece of inter-arrival times, each
     row's cumulative sum plus the epoch it carried in, written over ``t``."""

@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .dists import Exponential
-from .engine import _BLOCK_ELEMS, ModelSpec, _block, _epochs, _passing_steps
+from .engine import _BLOCK_ELEMS, ModelSpec, _block, _epochs, _passing_steps, _unique
 from .streams import Stream, run_chunked
 
 __all__ = [
@@ -102,7 +102,7 @@ class StationaryWindow:
 
 def _residual_grid(horizon: int) -> np.ndarray:
     lo = max(1, horizon // 2)
-    return np.unique(np.round(np.geomspace(lo, horizon, 12)).astype(np.int64))
+    return _unique(np.round(np.geomspace(lo, horizon, 12)).astype(np.int64))
 
 
 def _fit_residual(grid: np.ndarray, means: np.ndarray, horizon: int) -> float:

@@ -4,12 +4,15 @@ Every stochastic operation in this package draws from a ``Stream``: a
 counter-based Philox generator keyed by an experiment seed plus a spawn
 path.  Child streams are derived from the (seed, path) pair alone, never
 from generator state, so replication k of an experiment sees the same
-draws no matter how work is batched or which thread runs it.
+draws no matter how work is batched or which thread runs it.  With
+``threads`` > 1, ``run_chunked`` runs its fixed chunk plan on that many
+plain threads, lane j taking chunks j, j + threads, ...: chunk i draws from
+``stream.child(i)`` and fills result slot i, whichever lane runs it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from typing import Callable, TypeVar
 
 import numpy as np
@@ -94,15 +97,27 @@ def run_chunked(
     """Run ``worker(chunk_stream, start, count)`` over a fixed chunk plan.
 
     Chunk i always gets ``stream.child(i)``; results come back in chunk
-    order.  ``threads`` only controls how many chunks run concurrently.
+    order.  ``threads`` only controls how many chunks run concurrently;
+    at any count the lowest failing chunk's exception is raised.
     """
     plan = chunk_plan(total)
     streams = [stream.child(i) for i in range(len(plan))]
     if threads <= 1 or len(plan) <= 1:
         return [worker(st, start, count) for st, (start, count) in zip(streams, plan)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(worker, st, start, count)
-            for st, (start, count) in zip(streams, plan)
-        ]
-        return [f.result() for f in futures]
+    out, errors = [None] * len(plan), {}
+
+    def lane(first: int) -> None:
+        for i in range(first, len(plan), threads):
+            try:
+                out[i] = worker(streams[i], *plan[i])
+            except BaseException as exc:  # raised below, as a future would
+                errors[i] = exc
+
+    lanes = [threading.Thread(target=lane, args=(j,)) for j in range(min(threads, len(plan)))]
+    for t in lanes:
+        t.start()
+    for t in lanes:
+        t.join()
+    if errors:
+        raise errors[min(errors)]
+    return out

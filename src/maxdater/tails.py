@@ -26,7 +26,7 @@ import numpy as np
 
 from .classify import ClassificationReport, Verdict, classify
 from .dists import Distribution, Exponential, Pareto
-from .engine import ModelSpec
+from .engine import ModelSpec, _quantiles, _unique
 from .loynes import stationary_batch
 from .streams import Stream
 
@@ -145,12 +145,11 @@ def empirical_tail(m: ModelSpec, grid=None, samples: int = 100_000,
     batch = stationary_batch(m, horizon, samples, stream, threads=threads)
     values = batch.values
     if grid is None:
-        qlo = float(np.quantile(values, 0.99))
-        qhi = float(np.quantile(values, 0.9999))
+        qlo, qhi = _quantiles(values, [0.99, 0.9999]).tolist()
         if not qhi > qlo > 0:
             grid = np.asarray([max(qlo, qhi, float(values.max()))])
         else:
-            grid = np.unique(np.geomspace(qlo, qhi, points))
+            grid = _unique(np.geomspace(qlo, qhi, points))
     else:
         grid = np.asarray(grid, dtype=float)
         if len(grid) == 0 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):

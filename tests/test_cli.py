@@ -414,6 +414,13 @@ def test_exit_2_on_config_trouble(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "model.interarrival.alpha" in err
     assert "model.service.rate" in err
+    # weights near the largest double would overflow their sum
+    huge = {"weight": 1.7e308, "dist": {"kind": "exponential", "rate": 1.0}}
+    cfg = write_config(tmp_path, {"model": {
+        **EXP_EXP, "interarrival": {"kind": "mixture", "components": [huge, huge]}}})
+    assert run(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error: model.interarrival: mixture weights must be <= 1" in err
 
 
 def test_exit_2_on_inapplicable_override(tmp_path, capsys):
@@ -532,6 +539,50 @@ def test_cli_import_loads_no_scipy():
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env=_src_env(), capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+_RUN_COMMANDS = """\
+import contextlib, io, json, os, sys
+from maxdater.cli import run
+codes = []
+for cfg in sys.argv[2:]:
+    for command in ("simulate", "gg1", "stationary", "classify", "regen", "tails"):
+        sizes = {"stationary": ["--reps", "2000", "--horizon", "100"],
+                 "regen": ["--reps", "1000", "--horizon", "100"],
+                 "tails": ["--reps", "2000", "--horizon", "100"]}.get(command, [])
+        for threads in ("1", "2"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(run([command, "--config", cfg, "--threads", threads, *sizes]))
+loaded = sorted(m for m in ("numpy.ma", "concurrent.futures", "logging", "csv")
+                if m in sys.modules)
+run(["simulate", "--config", sys.argv[2], "--out", os.devnull, "--csv", sys.argv[1]])
+print(json.dumps({"codes": codes, "loaded": loaded, "csv": "csv" in sys.modules}))
+"""
+
+
+def test_commands_load_no_numpy_ma_and_no_thread_pool(tmp_path):
+    # numpy's quantile, median and unique import numpy.ma, and a thread pool
+    # imports concurrent.futures and logging: over 1.8 MB of each process
+    # that no command uses.  csv loads only for --csv.  compare is left out:
+    # scipy.integrate, which its quadrature needs, imports numpy.ma itself,
+    # as tails does for a Laplace transform with no closed form (a pareto
+    # inter-arrival law beside an exponential-tail service; none here).
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    configs = []
+    for path in ("scripts/configs/exp_exp.json", "scripts/configs/pareto_phase.json",
+                 "perfbench/configs/classify-mixture.json"):
+        with open(os.path.join(root, path)) as fh:
+            body = json.load(fh)
+        body["classify"] = {"n_max": 1000, "reps": 100}
+        configs.append(write_config(tmp_path, body, os.path.basename(path)))
+    out = subprocess.run(
+        [sys.executable, "-c", _RUN_COMMANDS, str(tmp_path / "out.csv"), *configs],
+        env=_src_env(), capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    seen = json.loads(out.stdout)
+    # tails refuses the mixture model, which is not positive recurrent
+    assert seen["codes"] == [0] * 34 + [4, 4], seen["codes"]
+    assert seen["loaded"] == [] and seen["csv"]
 
 
 def test_scripts_write_their_csv(tmp_path):

@@ -178,3 +178,57 @@ def test_batched_paths_draw_whole_pieces(monkeypatch):
     params = find_params(m)
     renewal_tests(m, params, 1000, 20_000, Stream.from_seed(0))
     assert len(calls) < 2000  # stepping per step would make millions
+
+
+# ---------------------------------------------------- order statistics
+#
+# numpy's quantile, median and unique are the oracle: the helpers must give
+# their bits, dtype and shape on NaN-free values >= 0.  A small pool of
+# levels makes ties, and inf entries make inf - inf in the interpolation.
+
+_LEVEL = st.one_of(st.sampled_from([0.0, 1.0, 2.5, np.inf]),
+                   st.floats(min_value=0.0, max_value=1e300))
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def _check_order_stats(values, qs):
+    with np.errstate(invalid="ignore"):  # inf - inf, in numpy as here
+        _same_bits(engine._quantiles(values, qs), np.quantile(values, qs))
+        sums = values.reshape(len(values), -1)
+        _same_bits(engine._median0(sums), np.median(sums, axis=0))
+        _same_bits(engine._unique(values), np.unique(values))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 300), st.sampled_from([1, 2, 3]), st.data())
+def test_order_stats_are_numpys_bits(n, cols, data):
+    values = np.asarray(data.draw(st.lists(_LEVEL, min_size=n * cols, max_size=n * cols)))
+    qs = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    for q in (qs, [0.5, 0.9, 0.99], [0.99, 0.9999], [0.0, 1.0]):
+        _check_order_stats(values, q)
+    # the (reps, grid points) sums the tail series take a median over
+    sums = values.reshape(n, cols)
+    _same_bits(engine._median0(sums), np.median(sums, axis=0))
+
+
+@pytest.mark.parametrize("n", [100_000, 99_999])
+def test_order_stats_are_numpys_bits_on_large_samples(n):
+    gen = np.random.default_rng(n)
+    values = np.round(gen.exponential(size=n), 2)  # many ties
+    _check_order_stats(values, [0.5, 0.9, 0.99, 0.9999])
+    values[gen.integers(0, n, size=50)] = np.inf
+    _check_order_stats(values, [0.5, 0.9, 0.99, 0.9999, 1.0])
+    sums = values.reshape(-1, 3 if n % 3 == 0 else 1)
+    _same_bits(engine._median0(sums), np.median(sums, axis=0))
+
+
+@given(st.lists(st.integers(0, 50), min_size=1, max_size=300))
+def test_unique_of_integer_grids_is_numpys(steps):
+    # the log grids are rounded, non-decreasing int64 arrays
+    grid = np.cumsum(np.asarray(steps, dtype=np.int64))
+    _same_bits(engine._unique(grid), np.unique(grid))

@@ -1,12 +1,16 @@
 """Uniform draws behind every sampler."""
 
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from maxdater import Stream
 from maxdater.dists import Exponential
-from maxdater.streams import N_CHUNKS, chunk_plan
+from maxdater.streams import N_CHUNKS, chunk_plan, run_chunked
 
 
 class _TopGenerator:
@@ -97,3 +101,43 @@ def test_chunk_plan_tiles_the_replications():
         counts = [c for _, c in plan]
         assert sum(counts) == total and max(counts) - min(counts) <= 1
         assert counts == sorted(counts, reverse=True)
+
+
+def test_run_chunked_lanes_keep_chunk_order_and_the_lowest_failure():
+    # any thread count gives the one-thread results, in chunk order, and
+    # joins every lane it starts; lanes switch often, so that a result or
+    # an exception lost between them would show
+    before, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _check_lanes(before)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _check_lanes(before):
+    def draws(st, start, count):
+        return start, count, st.uniform_open(3).tolist()
+
+    for total in (N_CHUNKS - 14, 3 * N_CHUNKS + 5):
+        want = run_chunked(draws, total, Stream.from_seed(3))
+        assert [w[:2] for w in want] == chunk_plan(total)
+        for threads in (2, 3, 8):
+            assert run_chunked(draws, total, Stream.from_seed(3), threads=threads) == want
+            assert threading.active_count() == before
+
+        plan = chunk_plan(total)
+
+        def failing(st, start, count):
+            i = plan.index((start, count))
+            if i == 5:
+                time.sleep(0.05)  # so chunk 40 fails first in time
+            if i in (5, 40):
+                raise ValueError(i)
+            return i
+
+        for threads in (1, 2, 3, 8):
+            with pytest.raises(ValueError) as exc:
+                run_chunked(failing, total, Stream.from_seed(3), threads=threads)
+            assert exc.value.args == (5,)
+            assert threading.active_count() == before
