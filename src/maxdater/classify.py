@@ -17,8 +17,9 @@ keeps its estimator, grid and reps and is tested on its own, bit for bit
 the public series run alone on child 0; only the estimates correlate.
 
 A finite simulation cannot decide convergence, so verdicts come from a
-log-log slope test on the partial sums over the last decade of n, with
-an increment floor separating "still climbing" from "numerically flat";
+log-log slope test on the partial sums over the last decade of n, the
+slope a closed-form least-squares line (``engine._fit_line``), with an
+increment floor separating "still climbing" from "numerically flat";
 all thresholds are configurable and every report carries its diagnostics.
 """
 
@@ -41,7 +42,7 @@ from .dists import (
     QuadratureError,
     TruncatedParetoOne,
 )
-from .engine import ModelSpec, _block, _epochs, _forward, _median0, _unique
+from .engine import ModelSpec, _block, _epochs, _fit_line, _forward, _median0, _unique
 from .streams import Stream, run_chunked
 
 __all__ = [
@@ -175,7 +176,7 @@ def _series_verdict(grid, sums, thr: SeriesThresholds):
         if incr.size and incr.min() >= thr.increment_floor:
             return SeriesVerdict.DIVERGES, math.nan
         return SeriesVerdict.INCONCLUSIVE, math.nan
-    slope = float(np.polyfit(np.log(g[pos]), np.log(v[pos]), 1)[0])
+    slope = _fit_line(np.log(g[pos]), np.log(v[pos]))[0]
     if slope < thr.slope_converges:
         return SeriesVerdict.CONVERGES, slope
     incr = np.diff(v) / np.diff(g)

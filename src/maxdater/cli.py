@@ -33,7 +33,7 @@ from .engine import ModelSpec, _quantiles, simulate_gg1, simulate_path
 from .loynes import DivergenceSuspected, stationary_batch
 from .regen import detect, find_params, phi_sample, renewal_tests
 from .streams import Stream
-from .tails import NotPositiveRecurrent, empirical_tail
+from .tails import empirical_tail
 
 __all__ = ["ValidationError", "ExperimentConfig", "validate_config", "run", "main"]
 
@@ -600,7 +600,7 @@ def run(argv=None) -> int:
     stream = Stream.from_seed(cfg.seed)
     try:
         result, rows, code = _COMMANDS[args.command](cfg, stream, args.strict)
-    except (ValueError, RuntimeError, NotPositiveRecurrent) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 4
     report = {

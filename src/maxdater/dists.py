@@ -584,31 +584,31 @@ class Mixture(Distribution, kind="mixture"):
         return max(d.largest_draw() for _, d in self.components)
 
     def _compose(self, pick, u):
-        """Draws at the uniforms ``u``, each by the component that ``pick``
-        selects: the first whose cumulative weight is >= pick.  A nested
-        mixture picks again with what is left of pick, rescaled to (0, 1],
-        so every draw takes one pick and one value uniform."""
-        shape, pick, u = u.shape, pick.ravel(), u.ravel()
+        """Draws at the uniforms ``u``, written over them, each by the
+        component that ``pick`` selects: the first whose cumulative weight
+        is >= pick.  A nested mixture picks again with what is left of pick,
+        rescaled to (0, 1], so every draw takes one pick and one value uniform."""
+        pick, flat = pick.reshape(-1), u.reshape(-1)
         # the weights added left to right, as _cdf adds them, so the last is
         # exactly 1 (see __post_init__)
         top = np.cumsum([w for w, _ in self.components])
         # the count of cumulative weights below pick, which is searchsorted's
         # index and, for being taken over all but the last, at most the last
         # component's (a compare per weight beats a binary search per draw)
-        idx = np.zeros(pick.size, dtype=np.intp)
+        idx = np.zeros(pick.size, dtype=np.uint8 if len(top) < 256 else np.intp)
         for c in top[:-1]:
             idx += pick > c
-        out = np.empty(u.size)
-        for i, (w, d) in enumerate(self.components):
-            at = np.flatnonzero(idx == i)  # gathers by index beat a mask's
+        ats = [np.flatnonzero(idx == i) for i in range(len(top))]
+        del idx  # gathers by index beat masks; the index goes once they exist
+        for i, ((w, d), at) in enumerate(zip(self.components, ats)):
             if isinstance(d, Mixture):
                 # pick is above the cumulative weight before i; rounding can
                 # take the rescaled rest just past 1, which the guard absorbs
                 rest = (pick[at] - (top[i - 1] if i else 0.0)) / w
-                out[at] = d._compose(rest, u[at])
+                flat[at] = d._compose(rest, flat[at])
             else:
-                out[at] = d._quantile(u[at])
-        return out.reshape(shape)
+                flat[at] = d._quantile(flat[at])
+        return flat.reshape(u.shape)
 
     def _quantile(self, p):
         """Exact generalized inverse: the least double q with cdf(q) >= p,

@@ -141,6 +141,14 @@ def _unique(a: np.ndarray) -> np.ndarray:
     return a[np.concatenate(([True], a[1:] != a[:-1]))]
 
 
+def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple:
+    """(slope, intercept) of the least-squares line through (x, y), from centred
+    sums: numpy's least-squares fits call LAPACK, about 1 MB a process."""
+    xm, ym = np.sum(x) / len(x), np.sum(y) / len(y)
+    slope = np.sum((x - xm) * (y - ym)) / np.sum(np.square(x - xm))
+    return float(slope), float(ym - slope * xm)
+
+
 def _epochs(t: np.ndarray, offset: np.ndarray) -> np.ndarray:
     """Arrival epochs of a (paths, block) piece of inter-arrival times, each
     row's cumulative sum plus the epoch it carried in, written over ``t``."""

@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .dists import Exponential
-from .engine import _BLOCK_ELEMS, ModelSpec, _block, _epochs, _passing_steps, _unique
+from .engine import _BLOCK_ELEMS, ModelSpec, _block, _epochs, _fit_line, _passing_steps, _unique
 from .streams import Stream, run_chunked
 
 __all__ = [
@@ -114,7 +114,7 @@ def _fit_residual(grid: np.ndarray, means: np.ndarray, horizon: int) -> float:
     g, m = grid[keep], means[keep]
     if len(g) == 1:
         return float(m[0])
-    b, loga = np.polyfit(np.log(g), np.log(m), 1)
+    b, loga = _fit_line(np.log(g), np.log(m))
     if b >= -1.0:
         return math.inf
     # integral tail of exp(loga) * j**b beyond the horizon, assembled in

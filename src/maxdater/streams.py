@@ -5,9 +5,10 @@ counter-based Philox generator keyed by an experiment seed plus a spawn
 path.  Child streams are derived from the (seed, path) pair alone, never
 from generator state, so replication k of an experiment sees the same
 draws no matter how work is batched or which thread runs it.  With
-``threads`` > 1, ``run_chunked`` runs its fixed chunk plan on that many
-plain threads, lane j taking chunks j, j + threads, ...: chunk i draws from
-``stream.child(i)`` and fills result slot i, whichever lane runs it.
+``threads`` > 1, ``run_chunked`` runs lane 0 of its fixed chunk plan on the
+calling thread and lanes 1 to threads - 1 on plain threads, lane j taking
+chunks j, j + threads, ...: chunk i draws from ``stream.child(i)`` and
+fills result slot i, whichever lane runs it.
 """
 
 from __future__ import annotations
@@ -110,14 +111,19 @@ def run_chunked(
         for i in range(first, len(plan), threads):
             try:
                 out[i] = worker(streams[i], *plan[i])
-            except BaseException as exc:  # raised below, as a future would
-                errors[i] = exc
+            except BaseException as exc:  # raised below, as a future would;
+                errors[i] = exc  # the lane's later chunks cannot be lower
+                return
 
-    lanes = [threading.Thread(target=lane, args=(j,)) for j in range(min(threads, len(plan)))]
-    for t in lanes:
-        t.start()
-    for t in lanes:
-        t.join()
+    helpers = [threading.Thread(target=lane, args=(j,)) for j in range(1, min(threads, len(plan)))]
+    try:
+        for t in helpers:
+            t.start()
+        lane(0)  # on the caller
+    finally:
+        for t in helpers:
+            if t.ident is not None:  # started
+                t.join()
     if errors:
         raise errors[min(errors)]
     return out

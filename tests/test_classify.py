@@ -3,6 +3,7 @@ occupation counts, and the single-server comparison."""
 
 import dataclasses
 import importlib
+import inspect
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from maxdater.classify import (
     ClassifierConfig,
     SeriesDiagnostic,
     SeriesVerdict,
+    Source,
     Verdict,
     WalkVerdict,
     _j_value,
@@ -36,7 +38,7 @@ from maxdater.dists import (
     TruncatedParetoOne,
     Uniform,
 )
-from maxdater.loynes import DivergenceSuspected, stationary_sample
+from maxdater.loynes import DivergenceSuspected, stationary_batch, stationary_sample
 
 from support import j_value_oracle, model_catalogue
 
@@ -508,3 +510,33 @@ def test_classify_reads_w0_from_the_service_median(monkeypatch):
     params = {d.kind.value: d.params for d in report.diagnostics}
     assert params["recurrence"]["w0"] == m.service.quantile(0.5)
     assert params["transience"]["y"] == m.service.quantile(0.5)
+
+
+def test_log_log_fits_call_no_lapack(monkeypatch):
+    # numpy's least-squares fits run LAPACK's dgelsd, about 1 MB a process
+    # on first call: with lstsq made to raise, classify's Monte Carlo route
+    # on the classify-mixture benchmark model and the residual fit of a
+    # horizon scan still finish, with their unpatched verdict and route
+    mixture = ModelSpec(Mixture(((0.7, Exponential(1.5)), (0.3, Pareto(1.5, 0.5)))),
+                        Pareto(0.8, 1.0))
+    scan = ModelSpec(Exponential(1.0), Pareto(2.5, 1.0))
+
+    def runs():
+        report = classify(mixture, ClassifierConfig(n_max=1000, reps=100), Stream.from_seed(5))
+        return report, stationary_batch(scan, 100, 2000, Stream.from_seed(6))
+
+    want_report, want_batch = runs()
+    assert want_report.source is not Source.ANALYTIC
+    assert not want_batch.exact and 0.0 < want_batch.residual_bound < math.inf
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lstsq called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    # polyfit binds lstsq when numpy is imported
+    monkeypatch.setitem(inspect.unwrap(np.polyfit).__globals__, "lstsq", refuse)
+    report, batch = runs()
+    assert (report.verdict, report.source) == (want_report.verdict, want_report.source)
+    assert [d.verdict for d in report.diagnostics] == [d.verdict for d in want_report.diagnostics]
+    assert (batch.exact, batch.residual_bound) == (want_batch.exact, want_batch.residual_bound)
+    assert np.array_equal(batch.values, want_batch.values)

@@ -514,6 +514,39 @@ def test_mixture_sample_picks_by_the_cdf_weights():
                            np.full(5, 0.5)).tolist() == [1.0, 2.0, 2.0, 3.0, 3.0]
 
 
+def _composed(m, pick, u):
+    """Out of place, the draws ``Mixture._compose`` gives: searchsorted over
+    the cumulative weights picks the component (past 1, the last), whose
+    quantile gives the value; a nested mixture rescales the pick."""
+    top = np.cumsum([w for w, _ in m.components])
+    idx = np.minimum(np.searchsorted(top, pick), len(top) - 1)
+    out = np.empty(u.shape)
+    for i, (w, d) in enumerate(m.components):
+        at = idx == i
+        if isinstance(d, Mixture):
+            out[at] = _composed(d, (pick[at] - (top[i - 1] if i else 0.0)) / w, u[at])
+        else:
+            out[at] = d.quantile(u[at])
+    return out
+
+
+@pytest.mark.parametrize("m", [_SAMPLED_MIXTURES["every_kind"], _SAMPLED_MIXTURES["deep"],
+                               _ATOM_MIXTURE,
+                               Mixture(tuple((1 / 300, Deterministic(1.0 + i)) for i in range(300)))],
+                         ids=["every_kind", "deep", "atom_pareto", "300_atoms"])
+def test_mixture_draws_are_composed_over_their_value_uniforms(m):
+    # bit for bit the out-of-place composition of the same two uniform
+    # pieces, at every shape; the values are written over the value piece
+    for size in ((), 5000, (7, 900)):
+        a, b = Stream.from_seed(11, 2), Stream.from_seed(11, 2)
+        got = m.sample(a, size)
+        pick, u = b.uniform_open(size), b.uniform_open(size)
+        want = _composed(m, pick, u)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(np.asarray(got).view(np.int64), want.view(np.int64))
+        assert np.shares_memory(m._compose(pick, u), u)
+
+
 @pytest.mark.parametrize("d", [d for d in CATALOGUE if not isinstance(d, Mixture)],
                          ids=lambda d: type(d).__name__ + repr(d)[:30])
 def test_non_mixture_draws_invert_one_piece(d):

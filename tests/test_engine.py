@@ -1,5 +1,7 @@
 """Forward recursion: exactness, coupling, and the single-server twin."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -232,3 +234,36 @@ def test_unique_of_integer_grids_is_numpys(steps):
     # the log grids are rounded, non-decreasing int64 arrays
     grid = np.cumsum(np.asarray(steps, dtype=np.int64))
     _same_bits(engine._unique(grid), np.unique(grid))
+
+
+@st.composite
+def _geometric_grids(draw):
+    """Rounded geometric integer grids of 2 to 200 points, as the slope test
+    fits over a decade of ``classify._log_grid`` and the residual fit over
+    the back half of a horizon (``loynes._residual_grid``).  Grids start at
+    most at 10**4, the last decade of the default n_max: numpy's own
+    rounding error grows with log(lo) over the grid's log span, and at lo
+    near 10**6 with span 2 it comes within 0.9 of the tolerance below."""
+    lo = draw(st.integers(1, 10**4))
+    span = draw(st.sampled_from([2.0, 10.0]) | st.floats(2.0, 1e4))
+    points = draw(st.integers(2, 200))
+    return engine._unique(np.round(np.geomspace(lo, lo * span, points)).astype(np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_geometric_grids(), st.data())
+def test_fit_line_is_numpys_least_squares_line(grid, data):
+    x = np.log(grid)
+    y = np.asarray(data.draw(st.lists(st.floats(-700.0, 700.0), min_size=len(x),
+                                      max_size=len(x))))
+    slope, intercept = engine._fit_line(x, y)
+    want = np.polyfit(x, y, 1)
+    tol = 1e-12 * (1.0 + np.max(np.abs(y)))
+    assert abs(slope - want[0]) <= tol and abs(intercept - want[1]) <= tol
+    # and, closer, the line of the same doubles in exact rational arithmetic
+    xs, ys = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    xm, ym = sum(xs) / len(xs), sum(ys) / len(ys)
+    exact = (sum((a - xm) * (b - ym) for a, b in zip(xs, ys))
+             / sum((a - xm) ** 2 for a in xs))
+    assert abs(slope - float(exact)) <= tol / 100
+    assert abs(intercept - float(ym - exact * xm)) <= tol / 100

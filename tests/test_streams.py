@@ -103,19 +103,23 @@ def test_chunk_plan_tiles_the_replications():
         assert counts == sorted(counts, reverse=True)
 
 
-def test_run_chunked_lanes_keep_chunk_order_and_the_lowest_failure():
-    # any thread count gives the one-thread results, in chunk order, and
-    # joins every lane it starts; lanes switch often, so that a result or
-    # an exception lost between them would show
-    before, interval = threading.active_count(), sys.getswitchinterval()
+@pytest.fixture
+def switching_often():
+    """Threads switch every microsecond, so that a result or an exception
+    lost between lanes would show; yields the live thread count before."""
+    interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        _check_lanes(before)
+        yield threading.active_count()
     finally:
         sys.setswitchinterval(interval)
 
 
-def _check_lanes(before):
+def test_run_chunked_lanes_keep_chunk_order_and_the_lowest_failure(switching_often):
+    # any thread count gives the one-thread results, in chunk order, and
+    # joins every lane it starts
+    before = switching_often
+
     def draws(st, start, count):
         return start, count, st.uniform_open(3).tolist()
 
@@ -141,3 +145,40 @@ def _check_lanes(before):
                 run_chunked(failing, total, Stream.from_seed(3), threads=threads)
             assert exc.value.args == (5,)
             assert threading.active_count() == before
+
+
+def test_run_chunked_runs_lane_0_on_the_caller(switching_often):
+    # --threads N starts N - 1 helper threads: the caller runs chunks 0,
+    # N, 2N, ... itself, every other chunk runs on a helper, the lowest
+    # failing chunk still wins, and every helper is joined
+    before = switching_often
+    caller = threading.get_ident()
+    total = 3 * N_CHUNKS + 5
+    plan = chunk_plan(total)
+    for threads in (2, 3, 8):
+        seen = {}
+
+        def where(st, start, count):
+            seen[plan.index((start, count))] = (threading.get_ident(), threading.active_count())
+            return start
+
+        assert run_chunked(where, total, Stream.from_seed(3), threads=threads) == \
+            [start for start, _ in plan]
+        assert sorted(seen) == list(range(N_CHUNKS))
+        for i, (ident, live) in seen.items():
+            assert (ident == caller) == (i % threads == 0), (threads, i)
+            assert live <= before + threads - 1, (threads, i, live)
+        assert threading.active_count() == before
+
+        def failing(st, start, count):
+            i = plan.index((start, count))
+            if i == 0:
+                time.sleep(0.05)  # so chunk 40 fails first in time
+            if i in (0, 40):
+                raise ValueError(i)
+            return i
+
+        with pytest.raises(ValueError) as exc:
+            run_chunked(failing, total, Stream.from_seed(3), threads=threads)
+        assert exc.value.args == (0,)
+        assert threading.active_count() == before
