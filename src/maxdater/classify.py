@@ -1,9 +1,9 @@
 """Recurrence classification of the workload chain.
 
-Two routes produce verdicts.  The analytic route pattern-matches the
-model against shapes whose phase is known in closed form (finite-mean
-models, Pareto-vs-Pareto tail competition, deterministic arrivals with
-1/x service tails).  The Monte Carlo route estimates three series whose
+Two routes produce verdicts.  The analytic route decides positive
+recurrence from two moment certificates, J_plus = E[s / E min(t, s)] < inf
+for it and E t < inf = E s against it, and solves deterministic arrivals
+with 1/x service tails.  The Monte Carlo route estimates three series whose
 convergence or divergence is the actual criterion:
 
   tail series          S_n = sum_{k<=n} Fbar_s(T_k)            per path
@@ -364,73 +364,63 @@ def occupation_estimate(m: ModelSpec, x: float, y: float, horizon: int,
 
 
 def analytic_phase(m: ModelSpec) -> Optional[ClassificationReport]:
-    """Closed-form phase rules for solved model shapes; None when the model
-    matches none of them.
+    """Closed-form phase rules, in order; None when none applies.  An
+    exclusion reads INCONCLUSIVE and leaves transient vs null recurrent to
+    the series diagnostics.
 
-    The finite-mean rule runs first: whenever both driving means are
-    finite the chain is positive recurrent outright, and that settles
-    heavy-vs-heavy comparisons the tail-competition rule would misread
-    (tail competition only separates phases when at least one mean is
-    infinite).
+    1. J_plus = E[s / m(s)] < inf, m(x) = E min(t, x): positive recurrent.
+       A record of the Loynes scan is a k >= 1 with s_{k+1} > T_k.  The
+       services are independent of the epochs, so the expected number of
+       records is sum_k P(s > T_k) = E N(s) <= 2 J_plus - 1 by Wald's bound
+       (see ``erickson``), N(x) the number of epochs below x.  By the first
+       Borel-Cantelli lemma there are finitely many records a.s., so the
+       backward limit sup_k (s_{k+1} - T_k) is finite.
+    2. Deterministic arrivals against Pareto service of index below 1
+       (transient) or an exact 1/x service tail (``_det_inverse_tail``).
+    3. Pareto against Pareto with the heavier service tail: excluded.
+    4. E t < inf and E s = inf: excluded.  By the strong law T_k <= 2 E t k
+       for all large k a.s., and sum_k Fbar_s(x + 2 E t k) = inf for every
+       x since E s = inf.  Given the epochs the events {s_{k+1} > x + T_k}
+       are independent, so by the second Borel-Cantelli lemma infinitely
+       many occur for every x: the backward limit is infinite a.s.
     """
     s, t = m.service, m.interarrival
-
-    if math.isfinite(s.mean()) and math.isfinite(t.mean()):
-        return ClassificationReport(
-            verdict=Verdict.POSITIVE_RECURRENT, source=Source.ANALYTIC,
-            diagnostics=[],
-            notes="both driving means are finite, so the stationary "
-                  "workload exists",
-        )
-
-    if isinstance(s, Pareto) and isinstance(t, Pareto) and s.alpha < 2 and t.alpha < 2:
-        if s.alpha > t.alpha:
-            return ClassificationReport(
-                verdict=Verdict.POSITIVE_RECURRENT, source=Source.ANALYTIC,
-                diagnostics=[],
-                notes="service tail decays faster than the arrival clock "
-                      "grows (tail index {:.3g} > {:.3g})".format(s.alpha, t.alpha),
-            )
-        if s.alpha < t.alpha:
-            return ClassificationReport(
-                verdict=Verdict.INCONCLUSIVE, source=Source.ANALYTIC,
-                diagnostics=[],
-                notes="positive recurrence excluded: service tail index "
-                      "{:.3g} below arrival tail index {:.3g}; transient vs "
-                      "null recurrent needs series diagnostics".format(s.alpha, t.alpha),
-            )
-        return None
-
+    if _j_finite(s, t):
+        return _analytic(Verdict.POSITIVE_RECURRENT,
+                         "J_plus = E[s / E min(t, s)] is finite: the Loynes scan has "
+                         "finitely many records, so the stationary workload exists")
     if isinstance(t, Deterministic):
-        r = t.value
-        if isinstance(s, Pareto):
-            if s.alpha < 1:
-                return ClassificationReport(
-                    verdict=Verdict.TRANSIENT, source=Source.ANALYTIC,
-                    diagnostics=[],
-                    notes="deterministic arrivals with service tail index "
-                          "below 1: workload outruns the clock",
-                )
-            if s.alpha == 1.0:
-                # exact 1/x tail with coefficient = scale
-                return _det_inverse_tail(r, s.scale)
+        if isinstance(s, Pareto) and s.alpha < 1:
+            return _analytic(Verdict.TRANSIENT,
+                             "deterministic arrivals with service tail index "
+                             "below 1: workload outruns the clock")
+        if isinstance(s, Pareto) and s.alpha == 1.0:  # exact 1/x tail, coefficient = scale
+            return _det_inverse_tail(t.value, s.scale)
         if isinstance(s, TruncatedParetoOne):
-            return _det_inverse_tail(r, s.d1)
+            return _det_inverse_tail(t.value, s.d1)
+    if isinstance(s, Pareto) and isinstance(t, Pareto) and s.alpha < t.alpha:
+        return _analytic(Verdict.INCONCLUSIVE,
+                         "positive recurrence excluded: service tail index "
+                         "{:.3g} below arrival tail index {:.3g}; transient vs "
+                         "null recurrent needs series diagnostics".format(s.alpha, t.alpha))
+    if math.isfinite(t.mean()) and math.isinf(s.mean()):
+        return _analytic(Verdict.INCONCLUSIVE,
+                         "positive recurrence excluded: finite-mean arrivals against "
+                         "infinite-mean service; transient vs null recurrent needs "
+                         "series diagnostics")
     return None
 
 
+def _analytic(verdict: Verdict, notes: str) -> ClassificationReport:
+    return ClassificationReport(verdict=verdict, source=Source.ANALYTIC, diagnostics=[],
+                                notes=notes)
+
+
 def _det_inverse_tail(r: float, d1: float) -> ClassificationReport:
-    if d1 > r:
-        verdict = Verdict.TRANSIENT
-        how = "exceeds"
-    else:
-        verdict = Verdict.NULL_RECURRENT
-        how = "does not exceed"
-    return ClassificationReport(
-        verdict=verdict, source=Source.ANALYTIC, diagnostics=[],
-        notes="deterministic spacing {:.6g} with 1/x service tail "
-              "coefficient {:.6g}: the coefficient {} the spacing".format(r, d1, how),
-    )
+    how = "exceeds" if d1 > r else "does not exceed"
+    return _analytic(Verdict.TRANSIENT if d1 > r else Verdict.NULL_RECURRENT,
+                     "deterministic spacing {:.6g} with 1/x service tail "
+                     "coefficient {:.6g}: the coefficient {} the spacing".format(r, d1, how))
 
 
 def classify(m: ModelSpec, cfg: ClassifierConfig = None,
@@ -577,9 +567,9 @@ def erickson(m: ModelSpec) -> EricksonReport:
         J_minus = E[ t / m_plus(t)  ],   m_plus(x)  = E min(s, x).
 
     Finiteness is decided symbolically from the catalogue tail classes;
-    quadrature only ever evaluates integrals already known finite.  When
-    both driving means are finite the walk obeys the strong law and the
-    verdict is the sign of E s - E t.  en_s1 brackets the expected number
+    quadrature only ever evaluates integrals already known finite.  With
+    E s and E t finite the walk obeys the strong law and the verdict is
+    the sign of E s - E t.  en_s1 brackets the expected number
     of arrivals during one service time via Wald's inequality,
     x/m_minus(x) <= E N(x) + 1 <= 2x/m_minus(x), so that E N(s_1) lies in
     [J_plus - 1, 2 J_plus - 1].

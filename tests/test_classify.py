@@ -18,6 +18,7 @@ from maxdater.classify import (
     Source,
     Verdict,
     WalkVerdict,
+    _j_finite,
     _j_value,
     analytic_phase,
     classify,
@@ -41,6 +42,7 @@ from maxdater.dists import (
 from maxdater.loynes import DivergenceSuspected, stationary_batch, stationary_sample
 
 from support import j_value_oracle, model_catalogue
+from test_dists import CATALOGUE, _mixture_laws
 
 EXP_EXP = ModelSpec(Exponential(1.0), Exponential(1.0))
 DET_DET = ModelSpec(Deterministic(1.0), Deterministic(2.0))
@@ -49,9 +51,15 @@ PAR_NPR = ModelSpec(Pareto(0.8, 1.0), Pareto(0.5, 1.0))     # service tail heavi
 TPO_TWO = ModelSpec(Deterministic(1.0), TruncatedParetoOne(2.0, 2.0))
 TPO_ONE = ModelSpec(Deterministic(1.0), TruncatedParetoOne(1.0, 1.0))
 TPO_HALF = ModelSpec(Deterministic(1.0), TruncatedParetoOne(0.5, 1.0))
-# the classify-mixture benchmark model: no analytic rule, all three series
+# the classify-mixture benchmark model: finite-mean arrivals against
+# infinite-mean service exclude positive recurrence, and the transience and
+# recurrence series separate what is left
 MIX_PAR = ModelSpec(Mixture(((0.7, Exponential(1.5)), (0.3, Pareto(1.5, 0.5)))),
                     Pareto(0.8, 1.0))
+# infinite-mean arrivals with a heavier service tail: no analytic rule
+# settles it, so the Monte Carlo route runs all three series
+MIX_ARRIVALS = Mixture(((0.7, Exponential(1.5)), (0.3, Pareto(0.8, 0.5))))
+MIX_MC = ModelSpec(MIX_ARRIVALS, Pareto(0.5, 1.0))
 
 
 # ------------------------------------------------------------ analytic
@@ -70,8 +78,18 @@ def test_analytic_phase_table():
     assert analytic_phase(heavy).verdict is Verdict.TRANSIENT
     light = ModelSpec(Deterministic(1.0), Pareto(2.5, 1.0))
     assert analytic_phase(light).verdict is Verdict.POSITIVE_RECURRENT
-    # no matching pattern: heavy service with random non-Pareto arrivals
-    assert analytic_phase(ModelSpec(Exponential(1.0), Pareto(0.5, 1.0))) is None
+    # J_plus < inf with an infinite-mean service: heavy arrivals outrun it
+    assert analytic_phase(ModelSpec(Pareto(0.5, 1.0), Exponential(1.0))).verdict \
+        is Verdict.POSITIVE_RECURRENT
+    # finite-mean arrivals against infinite-mean service
+    rep = analytic_phase(ModelSpec(Exponential(1.0), Pareto(0.5, 1.0)))
+    assert rep.verdict is Verdict.INCONCLUSIVE
+    assert rep.notes.startswith("positive recurrence excluded: finite-mean arrivals")
+    # no rule: infinite-mean arrivals with J_plus = inf, outside the
+    # Pareto-against-Pareto exclusion
+    assert analytic_phase(ModelSpec(Pareto(0.5, 1.0), Pareto(0.5, 1.0))) is None
+    assert analytic_phase(ModelSpec(TruncatedParetoOne(1.0, 1.0), Pareto(0.9, 1.0))) is None
+    assert analytic_phase(MIX_MC) is None
 
 
 def test_finite_means_beat_tail_competition():
@@ -80,6 +98,53 @@ def test_finite_means_beat_tail_competition():
     m = ModelSpec(Pareto(1.8, 1.0), Pareto(1.2, 1.0))
     rep = analytic_phase(m)
     assert rep.verdict is Verdict.POSITIVE_RECURRENT
+
+
+def _shape_table(m):
+    """The verdict of the shape rules the J_plus certificate replaced, or
+    None where none applied: both means finite, Pareto against Pareto
+    below index 2, then deterministic arrivals."""
+    s, t = m.service, m.interarrival
+    if math.isfinite(s.mean()) and math.isfinite(t.mean()):
+        return Verdict.POSITIVE_RECURRENT
+    if isinstance(s, Pareto) and isinstance(t, Pareto) and s.alpha < 2 and t.alpha < 2:
+        if s.alpha == t.alpha:
+            return None
+        return Verdict.POSITIVE_RECURRENT if s.alpha > t.alpha else Verdict.INCONCLUSIVE
+    if isinstance(t, Deterministic):
+        if isinstance(s, Pareto) and s.alpha < 1:
+            return Verdict.TRANSIENT
+        d1 = (s.scale if isinstance(s, Pareto) and s.alpha == 1 else
+              s.d1 if isinstance(s, TruncatedParetoOne) else None)
+        if d1 is not None:
+            return Verdict.TRANSIENT if d1 > t.value else Verdict.NULL_RECURRENT
+    return None
+
+
+_RULE_LAWS = st.one_of(
+    st.sampled_from(CATALOGUE),
+    st.builds(Pareto, st.sampled_from([0.3, 0.5, 0.8, 1.0, 1.5, 2.0, 2.5]),
+              st.sampled_from([0.5, 1.0, 2.0])),
+    _mixture_laws())
+
+
+@given(t=_RULE_LAWS, s=_RULE_LAWS)
+@settings(max_examples=300, deadline=None)
+def test_analytic_rules_follow_the_two_moment_certificates(t, s):
+    m = ModelSpec(t, s)
+    rep = analytic_phase(m)
+    verdict = None if rep is None else rep.verdict
+    finite_t, finite_s = math.isfinite(t.mean()), math.isfinite(s.mean())
+    assert (verdict is Verdict.POSITIVE_RECURRENT) == _j_finite(s, t)
+    if finite_s:
+        assert verdict is Verdict.POSITIVE_RECURRENT
+    if finite_t and not finite_s:  # excluded, or deterministic arrivals decide
+        assert verdict not in (None, Verdict.POSITIVE_RECURRENT)
+    if verdict is Verdict.INCONCLUSIVE:
+        assert rep.notes.startswith("positive recurrence excluded")
+    if _shape_table(m) is not None:
+        assert verdict is _shape_table(m)
+    assert rep is None or (rep.source, rep.diagnostics) == (Source.ANALYTIC, [])
 
 
 # -------------------------------------------------------------- series
@@ -231,13 +296,34 @@ def test_excluded_pr_phase_from_each_series_pair(monkeypatch, trans, rec):
     assert rep.notes == analytic_phase(m).notes + "; " + how
 
 
+@pytest.mark.parametrize("trans", list(SeriesVerdict), ids=lambda v: "trans_" + v.value)
+@pytest.mark.parametrize("rec", list(SeriesVerdict), ids=lambda v: "rec_" + v.value)
+def test_converging_tail_series_alone_reads_positive_recurrent(monkeypatch, trans, rec):
+    # on the Monte Carlo route a converging tail series settles positive
+    # recurrence whatever the other two read, and the report keeps only it
+    diags = []
+
+    def stub_series(m, series, **run):
+        diags[:] = [SeriesDiagnostic(kind=kind, grid=np.array([1000]), partial_sums=np.zeros(1),
+                                     slope=0.0, verdict=v, params=params, votes_converge=0.95)
+                    for (kind, _, params), v in zip(series, (SeriesVerdict.CONVERGES, trans, rec),
+                                                    strict=True)]
+        return list(diags)
+
+    monkeypatch.setattr(importlib.import_module("maxdater.classify"), "_series", stub_series)
+    assert analytic_phase(MIX_MC) is None
+    rep = classify(MIX_MC, ClassifierConfig(), Stream.from_seed(0))
+    assert (rep.verdict, rep.source) == (Verdict.POSITIVE_RECURRENT, Source.MONTE_CARLO)
+    assert len(rep.diagnostics) == 1 and rep.diagnostics[0] is diags[0]
+    assert rep.notes == "tail series converges on a 95% vote (numerical evidence)"
+
+
 def test_classify_monte_carlo_pr():
-    # no analytic pattern: Exp arrivals with mixed heavy service of finite
-    # index > 1 has finite means, so force the Monte Carlo route off the
-    # pattern table by an infinite-mean service with random arrivals
-    m = ModelSpec(Exponential(1.0), Pareto(0.5, 1.0))
+    # no analytic rule settles infinite-mean arrivals against a heavier
+    # service tail outside the Pareto-against-Pareto shape, so the Monte
+    # Carlo route decides
     cfg = ClassifierConfig(n_max=20_000, reps=100)
-    rep = classify(m, cfg, Stream.from_seed(17))
+    rep = classify(MIX_MC, cfg, Stream.from_seed(17))
     assert rep.verdict is Verdict.TRANSIENT
     assert rep.source.value == "monte_carlo"
 
@@ -270,10 +356,10 @@ def test_classify_deterministic_without_stream():
 
 # (model, force_series) for each route that runs series
 SERIES_ROUTES = {
-    "monte_carlo": (ModelSpec(Exponential(1.0), Pareto(0.5, 1.0)), False),
-    "monte_carlo_mixture": (MIX_PAR, False),
-    "monte_carlo_tail_converges": (ModelSpec(Pareto(0.5, 1.0), Exponential(1.0)), False),
+    "monte_carlo": (ModelSpec(TruncatedParetoOne(1.0, 1.0), Pareto(0.9, 1.0)), False),
+    "monte_carlo_mixture": (MIX_MC, False),
     "analytic_inconclusive": (PAR_NPR, False),
+    "analytic_inconclusive_mixture": (MIX_PAR, False),
     "force_series": (PAR_PR, True),
 }
 
@@ -317,7 +403,7 @@ def test_classify_series_equal_the_public_series_on_child_zero(route, y_gap, see
         "recurrence": recurrence_series(m, w0, cfg.c, *run, Stream.from_seed(seed).child(0)),
     }
     kinds = [d.kind.value for d in rep.diagnostics]
-    if route == "analytic_inconclusive":
+    if route.startswith("analytic_inconclusive"):
         assert kinds == ["transience", "recurrence"]
     elif alone["tail"].verdict is SeriesVerdict.CONVERGES and not cfg.force_series:
         assert kinds == ["tail"]
@@ -337,10 +423,9 @@ def test_classify_report_bytes_do_not_depend_on_threads(route, y_gap, seed):
     assert _report_bytes(one) == _report_bytes(two)
 
 
-def test_classify_draws_the_epochs_once(monkeypatch):
-    # the three series share one pass: 2 uniforms per mixture draw for
-    # reps x grid[-1] epochs, and with y = w0 two tail evaluations per epoch
-    # (shift 0 for the tail series, w0 for the other two)
+def _count_draws(monkeypatch, m):
+    """The series kinds classify reports on ``m`` at 100 x 10,000, and the
+    uniforms drawn and tail evaluations made on the way."""
     counts = {"uniforms": 0, "tails": 0}
     uniform_open, tail = Stream.uniform_open, Distribution.tail
 
@@ -355,10 +440,26 @@ def test_classify_draws_the_epochs_once(monkeypatch):
 
     monkeypatch.setattr(Stream, "uniform_open", counting_uniforms)
     monkeypatch.setattr(Distribution, "tail", counting_tail)
-    rep = classify(MIX_PAR, ClassifierConfig(n_max=10_000, reps=100), Stream.from_seed(1))
-    assert [d.kind.value for d in rep.diagnostics] == ["tail", "transience", "recurrence"]
+    rep = classify(m, ClassifierConfig(n_max=10_000, reps=100), Stream.from_seed(1))
     assert rep.diagnostics[0].grid[-1] == 10_000
+    return [d.kind.value for d in rep.diagnostics], counts
+
+
+def test_classify_draws_the_epochs_once(monkeypatch):
+    # the three series share one pass: 2 uniforms per mixture draw for
+    # reps x grid[-1] epochs, and with y = w0 two tail evaluations per epoch
+    # (shift 0 for the tail series, w0 for the other two)
+    kinds, counts = _count_draws(monkeypatch, MIX_MC)
+    assert kinds == ["tail", "transience", "recurrence"]
     assert counts == {"uniforms": 2 * 100 * 10_000, "tails": 2 * 100 * 10_000}
+
+
+def test_excluded_pr_route_draws_the_epochs_once(monkeypatch):
+    # with positive recurrence excluded only the transience and recurrence
+    # series run, and at y = w0 they share one tail evaluation per epoch
+    kinds, counts = _count_draws(monkeypatch, MIX_PAR)
+    assert kinds == ["transience", "recurrence"]
+    assert counts == {"uniforms": 2 * 100 * 10_000, "tails": 100 * 10_000}
 
 
 # ------------------------------------------------------------ erickson
@@ -504,7 +605,7 @@ def test_classify_reads_w0_from_the_service_median(monkeypatch):
         raise AssertionError("classify must not run the regeneration search")
 
     monkeypatch.setattr(regen, "find_params", no_regen)
-    m = ModelSpec(Exponential(1.0), Mixture(((0.5, Pareto(0.5, 1.0)), (0.5, Uniform(0.0, 2.0)))))
+    m = ModelSpec(MIX_ARRIVALS, Mixture(((0.5, Pareto(0.5, 1.0)), (0.5, Uniform(0.0, 2.0)))))
     assert analytic_phase(m) is None  # the Monte Carlo route
     report = classify(m, ClassifierConfig(n_max=1000, reps=100), Stream.from_seed(3))
     params = {d.kind.value: d.params for d in report.diagnostics}
@@ -514,8 +615,8 @@ def test_classify_reads_w0_from_the_service_median(monkeypatch):
 
 def test_log_log_fits_call_no_lapack(monkeypatch):
     # numpy's least-squares fits run LAPACK's dgelsd, about 1 MB a process
-    # on first call: with lstsq made to raise, classify's Monte Carlo route
-    # on the classify-mixture benchmark model and the residual fit of a
+    # on first call: with lstsq made to raise, classify's series route on
+    # the classify-mixture benchmark model and the residual fit of a
     # horizon scan still finish, with their unpatched verdict and route
     mixture = ModelSpec(Mixture(((0.7, Exponential(1.5)), (0.3, Pareto(1.5, 0.5)))),
                         Pareto(0.8, 1.0))

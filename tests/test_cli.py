@@ -638,3 +638,26 @@ def test_tails_classifies_with_the_classify_section(tmp_path, capsys, monkeypatc
     report = json.loads(capsys.readouterr().out)
     assert report["config"]["classify"]["n_max"] == 2000
     assert report["config"]["classify"]["reps"] == 150
+
+
+# verdict and source of classify on every shipped config; the benchmark's
+# classify check reads the classify-mixture row
+SHIPPED_VERDICTS = {
+    "scripts/configs/det_heavy.json": ("transient", "analytic"),
+    "scripts/configs/exp_exp.json": ("positive_recurrent", "analytic"),
+    "scripts/configs/pareto_phase.json": ("positive_recurrent", "analytic"),
+    "perfbench/configs/classify-mixture.json": ("transient", "both"),
+    "perfbench/configs/regen-exp.json": ("positive_recurrent", "analytic"),
+    "perfbench/configs/stationary-exp.json": ("positive_recurrent", "analytic"),
+}
+
+
+@pytest.mark.parametrize("path", sorted(SHIPPED_VERDICTS))
+def test_shipped_configs_keep_their_verdicts(tmp_path, capsys, path):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, path)) as fh:
+        body = json.load(fh)
+    body["classify"] = {**body.get("classify", {}), "n_max": 1000, "reps": 100}
+    assert run(["classify", "--config", write_config(tmp_path, body)]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["verdict"], result["source"]) == SHIPPED_VERDICTS[path]

@@ -10,7 +10,7 @@ from maxdater import ModelSpec, Stream, simulate_path, simulate_gg1
 from maxdater import engine
 from maxdater.classify import occupation_estimate
 from maxdater.regen import find_params, renewal_tests
-from maxdater.dists import Deterministic, Distribution, Exponential, Pareto
+from maxdater.dists import Deterministic, DiscreteUniform, Distribution, Exponential, Pareto
 from maxdater.engine import (
     _forward,
     coupling_time,
@@ -95,6 +95,26 @@ def test_same_draw_layout_for_both_queues():
     t2, s2 = driving_draws(m, 50, 50, Stream.from_seed(77))
     assert np.array_equal(p.t, t2)
     assert np.array_equal(p.s, s2)
+
+
+_INTEGER_LAWS = st.one_of(
+    st.integers(1, 6).map(lambda v: Deterministic(float(v))),
+    st.lists(st.integers(1, 8), min_size=1, max_size=4).map(
+        lambda vs: DiscreteUniform(tuple(float(v) for v in vs))))
+
+
+@given(t=_INTEGER_LAWS, s=_INTEGER_LAWS, seed=st.integers(0, 2**31))
+@settings(max_examples=100, deadline=None)
+def test_infinite_server_state_never_exceeds_single_server_workload(t, s, seed):
+    # on common draws the largest residual service at arrival k is at most
+    # the single-server workload just after it, W_{k-1} + s_k, with equality
+    # at k = 1; integer-valued laws make every sum exact
+    n = 2_000
+    ta, sa = driving_draws(ModelSpec(t, s), n + 1, n, Stream.from_seed(seed))
+    x = path_from_draws(0.0, ta[:n], sa).x
+    bound = gg1_from_draws(0.0, ta, sa).w[:-1] + sa
+    assert np.all(x[1:] <= bound)
+    assert x[1] == bound[0]
 
 
 def test_input_validation():
