@@ -5,6 +5,9 @@ Sweeps the two tail indices over a grid, classifies every cell, and
 prints the verdict grid (rows: arrival index, columns: service index).
 The expected picture: positive recurrence above the diagonal (service
 tail lighter than arrival tail), loss of positive recurrence below it.
+Cells with arrival index above 1 (finite-mean arrivals) and service index
+below 1 are transient in closed form, with no series run (source
+"analytic").
 
     python3 scripts/phase_diagram.py --n-max 20000 --reps 100 --csv out.csv
 """

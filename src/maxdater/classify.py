@@ -1,8 +1,9 @@
 """Recurrence classification of the workload chain.
 
-Two routes produce verdicts.  The analytic route decides positive
-recurrence from two moment certificates, J_plus = E[s / E min(t, s)] < inf
-for it and E t < inf = E s against it, and solves deterministic arrivals
+Two routes produce verdicts.  The analytic route has three certificates:
+J_plus = E[s / E min(t, s)] < inf proves positive recurrence, E t < inf
+against a service tail of index below 1 proves transience, and E t < inf =
+E s excludes positive recurrence; it also solves deterministic arrivals
 with 1/x service tails.  The Monte Carlo route estimates three series whose
 convergence or divergence is the actual criterion:
 
@@ -375,10 +376,19 @@ def analytic_phase(m: ModelSpec) -> Optional[ClassificationReport]:
        (see ``erickson``), N(x) the number of epochs below x.  By the first
        Borel-Cantelli lemma there are finitely many records a.s., so the
        backward limit sup_k (s_{k+1} - T_k) is finite.
-    2. Deterministic arrivals against Pareto service of index below 1
-       (transient) or an exact 1/x service tail (``_det_inverse_tail``).
-    3. Pareto against Pareto with the heavier service tail: excluded.
-    4. E t < inf and E s = inf: excluded.  By the strong law T_k <= 2 E t k
+    2. E t < inf and a service tail regularly varying of index a < 1:
+       transient.  X_n = max(x0 - T_n, max_{k<=n} (s_k - (T_n - T_k))) and
+       T_n - T_k <= T_n, so given the epochs P(X_n <= y | T) <= F_s(y + T_n)^n
+       <= exp(-n Fbar_s(y + T_n)).  By the strong law T_n <= c n, c = E t + 1,
+       for all large n a.s., and as a slowly varying L has L(n) >= n^-eps
+       eventually, n Fbar_s(y + c n) >= n^((1 - a) / 2) eventually: the
+       conditional probabilities are summable a.s., and by the first
+       Borel-Cantelli lemma X_n <= y happens finitely often, for every y and
+       x0.  A mixture's tail class is its heaviest component's, and its tail
+       is at least that component's weight times the component's tail.
+    3. Deterministic arrivals against an exact 1/x tail: ``_det_inverse_tail``.
+    4. Pareto against Pareto with the heavier service tail: excluded.
+    5. E t < inf and E s = inf: excluded.  By the strong law T_k <= 2 E t k
        for all large k a.s., and sum_k Fbar_s(x + 2 E t k) = inf for every
        x since E s = inf.  Given the epochs the events {s_{k+1} > x + T_k}
        are independent, so by the second Borel-Cantelli lemma infinitely
@@ -389,11 +399,12 @@ def analytic_phase(m: ModelSpec) -> Optional[ClassificationReport]:
         return _analytic(Verdict.POSITIVE_RECURRENT,
                          "J_plus = E[s / E min(t, s)] is finite: the Loynes scan has "
                          "finitely many records, so the stationary workload exists")
+    tail = s.tail_class()
+    if math.isfinite(t.mean()) and tail.kind == "regvar" and tail.alpha < 1:
+        return _analytic(Verdict.TRANSIENT,
+                         "finite-mean arrivals against service tail index {:.3g} "
+                         "below 1: workload outruns the clock".format(tail.alpha))
     if isinstance(t, Deterministic):
-        if isinstance(s, Pareto) and s.alpha < 1:
-            return _analytic(Verdict.TRANSIENT,
-                             "deterministic arrivals with service tail index "
-                             "below 1: workload outruns the clock")
         if isinstance(s, Pareto) and s.alpha == 1.0:  # exact 1/x tail, coefficient = scale
             return _det_inverse_tail(t.value, s.scale)
         if isinstance(s, TruncatedParetoOne):
@@ -465,13 +476,12 @@ def classify(m: ModelSpec, cfg: ClassifierConfig = None,
 
     diags = _series(m, (_TAIL,) + pair, **run)
     tail, trans, rec = diags
-    if tail.verdict is SeriesVerdict.CONVERGES:
+    verdict = _combine_mc(tail.verdict, trans.verdict, rec.verdict)
+    if verdict is Verdict.POSITIVE_RECURRENT:  # the tail series alone settles it
         return ClassificationReport(
-            verdict=Verdict.POSITIVE_RECURRENT, source=Source.MONTE_CARLO,
-            diagnostics=[tail],
+            verdict=verdict, source=Source.MONTE_CARLO, diagnostics=[tail],
             notes="tail series converges on a {:.0%} vote (numerical "
                   "evidence)".format(tail.votes_converge))
-    verdict = _combine_mc(tail.verdict, trans.verdict, rec.verdict)
     notes = ("tail series {}; transience series {}; recurrence series {} "
              "(numerical evidence)").format(
         tail.verdict.value, trans.verdict.value, rec.verdict.value)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxdater import ModelSpec, Stream
+from maxdater import ModelSpec, Stream, simulate_path
 from maxdater.classify import (
     ClassifierConfig,
     SeriesDiagnostic,
@@ -51,11 +51,13 @@ PAR_NPR = ModelSpec(Pareto(0.8, 1.0), Pareto(0.5, 1.0))     # service tail heavi
 TPO_TWO = ModelSpec(Deterministic(1.0), TruncatedParetoOne(2.0, 2.0))
 TPO_ONE = ModelSpec(Deterministic(1.0), TruncatedParetoOne(1.0, 1.0))
 TPO_HALF = ModelSpec(Deterministic(1.0), TruncatedParetoOne(0.5, 1.0))
-# the classify-mixture benchmark model: finite-mean arrivals against
-# infinite-mean service exclude positive recurrence, and the transience and
-# recurrence series separate what is left
+# the classify-mixture benchmark model: finite-mean arrivals against a
+# service tail of index below 1 are transient, with no series run
 MIX_PAR = ModelSpec(Mixture(((0.7, Exponential(1.5)), (0.3, Pareto(1.5, 0.5)))),
                     Pareto(0.8, 1.0))
+# the same arrivals against a 1/x service tail: positive recurrence is
+# excluded, and the transience and recurrence series separate what is left
+MIX_EXCL = ModelSpec(MIX_PAR.interarrival, Pareto(1.0, 1.0))
 # infinite-mean arrivals with a heavier service tail: no analytic rule
 # settles it, so the Monte Carlo route runs all three series
 MIX_ARRIVALS = Mixture(((0.7, Exponential(1.5)), (0.3, Pareto(0.8, 0.5))))
@@ -63,6 +65,9 @@ MIX_MC = ModelSpec(MIX_ARRIVALS, Pareto(0.5, 1.0))
 
 
 # ------------------------------------------------------------ analytic
+
+
+HEAVY_SERVICE_NOTE = "finite-mean arrivals against service tail index"
 
 
 def test_analytic_phase_table():
@@ -81,8 +86,12 @@ def test_analytic_phase_table():
     # J_plus < inf with an infinite-mean service: heavy arrivals outrun it
     assert analytic_phase(ModelSpec(Pareto(0.5, 1.0), Exponential(1.0))).verdict \
         is Verdict.POSITIVE_RECURRENT
-    # finite-mean arrivals against infinite-mean service
+    # finite-mean arrivals against a service tail of index below 1
     rep = analytic_phase(ModelSpec(Exponential(1.0), Pareto(0.5, 1.0)))
+    assert rep.verdict is Verdict.TRANSIENT
+    assert rep.notes.startswith(HEAVY_SERVICE_NOTE)
+    # finite-mean arrivals against a 1/x service tail: excluded, and open
+    rep = analytic_phase(ModelSpec(Exponential(1.0), Pareto(1.0, 1.0)))
     assert rep.verdict is Verdict.INCONCLUSIVE
     assert rep.notes.startswith("positive recurrence excluded: finite-mean arrivals")
     # no rule: infinite-mean arrivals with J_plus = inf, outside the
@@ -138,13 +147,76 @@ def test_analytic_rules_follow_the_two_moment_certificates(t, s):
     assert (verdict is Verdict.POSITIVE_RECURRENT) == _j_finite(s, t)
     if finite_s:
         assert verdict is Verdict.POSITIVE_RECURRENT
-    if finite_t and not finite_s:  # excluded, or deterministic arrivals decide
+    if finite_t and not finite_s:  # transient, excluded, or deterministic arrivals decide
         assert verdict not in (None, Verdict.POSITIVE_RECURRENT)
     if verdict is Verdict.INCONCLUSIVE:
         assert rep.notes.startswith("positive recurrence excluded")
-    if _shape_table(m) is not None:
+    # the regular-variation rule fires exactly on finite-mean arrivals
+    # against a service tail of index below 1, and reads transient there
+    tail = s.tail_class()
+    heavy = finite_t and tail.kind == "regvar" and tail.alpha < 1
+    assert (rep is not None and rep.notes.startswith(HEAVY_SERVICE_NOTE)) == heavy
+    if heavy:
+        assert verdict is Verdict.TRANSIENT
+        # it settles only what the shape rules excluded or called transient
+        assert _shape_table(m) in (None, Verdict.INCONCLUSIVE, Verdict.TRANSIENT)
+    elif _shape_table(m) is not None:
         assert verdict is _shape_table(m)
     assert rep is None or (rep.source, rep.diagnostics) == (Source.ANALYTIC, [])
+
+
+@given(r=st.sampled_from([0.25, 0.5, 1.0, 2.0]), alpha=st.floats(0.3, 0.95),
+       scale=st.sampled_from([0.5, 1.0, 2.0]), n=st.integers(1, 5),
+       y_over_scale=st.floats(2.0, 6.0), seed=st.integers(0, 2**31))
+@settings(max_examples=15, deadline=None)
+def test_workload_below_a_level_has_the_product_law(r, alpha, scale, n, y_over_scale, seed):
+    # the bound the regular-variation rule rests on, with deterministic
+    # arrivals: from x0 = 0, X_n <= y iff s_k <= y + (n - k) r for every
+    # k <= n, so P(X_n <= y) = prod_{j<n} F_s(y + j r) <= exp(-n Fbar_s(y + n r))
+    m = ModelSpec(Deterministic(r), Pareto(alpha, scale))
+    y = y_over_scale * scale
+
+    def cdf(x):  # the Pareto law in closed form
+        return 1.0 - (scale / x) ** alpha if x >= scale else 0.0
+
+    p = math.prod(cdf(y + j * r) for j in range(n))
+    assert p <= cdf(y + n * r) ** n <= math.exp(-n * (1.0 - cdf(y + n * r)))
+    stream, paths = Stream.from_seed(seed), 10_000
+    hits = sum(simulate_path(m, 0.0, n, stream).x[-1] <= y for _ in range(paths))
+    assert abs(hits / paths - p) <= 5.0 * math.sqrt(p * (1.0 - p) / paths)
+
+
+@pytest.mark.parametrize("m", [
+    MIX_PAR,
+    ModelSpec(Exponential(1.0), Mixture(((0.1, Pareto(0.9, 1.0)), (0.9, Uniform(0.0, 2.0))))),
+], ids=["classify_mixture", "light_weight_heavy_component"])
+def test_definitive_rule_draws_nothing(monkeypatch, m):
+    # finite-mean arrivals against a service tail of index below 1 are
+    # settled in closed form: no series runs and no uniform is drawn, in
+    # classify or in compare
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew on a definitive analytic route")
+
+    monkeypatch.setattr(importlib.import_module("maxdater.classify"), "_series", refuse)
+    monkeypatch.setattr(Stream, "uniform_open", refuse)
+    cfg = ClassifierConfig(threads=2)
+    for rep in (classify(m, cfg, Stream.from_seed(0)),
+                compare_queues(m, cfg, Stream.from_seed(0))[0]):
+        assert (rep.verdict, rep.source, rep.diagnostics) == (Verdict.TRANSIENT,
+                                                              Source.ANALYTIC, [])
+        assert rep.notes.startswith(HEAVY_SERVICE_NOTE)
+
+
+def test_series_that_lag_the_rule_leave_it_standing():
+    # against Pareto(0.99, 0.01) service the transience summands
+    # exp(-sum_{i<m} Fbar_s(y + i)) fall like m^-0.01 over any simulated
+    # range, so the series read null recurrent; the analytic verdict stands,
+    # and the notes say what the series read
+    m = ModelSpec(Deterministic(1.0), Pareto(0.99, 0.01))
+    rep = classify(m, ClassifierConfig(force_series=True), Stream.from_seed(0))
+    assert (rep.verdict, rep.source) == (Verdict.TRANSIENT, Source.BOTH)
+    assert rep.notes.endswith("; series diagnostics read null_recurrent (numerical "
+                              "evidence only; analytic verdict kept)")
 
 
 # -------------------------------------------------------------- series
@@ -280,7 +352,7 @@ def test_excluded_pr_phase_from_each_series_pair(monkeypatch, trans, rec):
                 for (kind, _, params), v in zip(series, (trans, rec), strict=True)]
 
     monkeypatch.setattr(importlib.import_module("maxdater.classify"), "_series", stub_series)
-    m = ModelSpec(Pareto(1.5, 1.0), Pareto(0.8, 1.0))
+    m = ModelSpec(Pareto(1.5, 1.0), Pareto(1.0, 1.0))
     assert analytic_phase(m).verdict is Verdict.INCONCLUSIVE
     converges, diverges = SeriesVerdict.CONVERGES, SeriesVerdict.DIVERGES
     if trans is converges and rec is not diverges:
@@ -300,7 +372,9 @@ def test_excluded_pr_phase_from_each_series_pair(monkeypatch, trans, rec):
 @pytest.mark.parametrize("rec", list(SeriesVerdict), ids=lambda v: "rec_" + v.value)
 def test_converging_tail_series_alone_reads_positive_recurrent(monkeypatch, trans, rec):
     # on the Monte Carlo route a converging tail series settles positive
-    # recurrence whatever the other two read, and the report keeps only it
+    # recurrence, and the report keeps only it, unless the transience and
+    # recurrence series contradict each other: then the verdict is
+    # INCONCLUSIVE with all three diagnostics attached
     diags = []
 
     def stub_series(m, series, **run):
@@ -313,6 +387,12 @@ def test_converging_tail_series_alone_reads_positive_recurrent(monkeypatch, tran
     monkeypatch.setattr(importlib.import_module("maxdater.classify"), "_series", stub_series)
     assert analytic_phase(MIX_MC) is None
     rep = classify(MIX_MC, ClassifierConfig(), Stream.from_seed(0))
+    if trans is SeriesVerdict.CONVERGES and rec is SeriesVerdict.DIVERGES:
+        assert (rep.verdict, rep.source) == (Verdict.INCONCLUSIVE, Source.MONTE_CARLO)
+        assert [id(d) for d in rep.diagnostics] == [id(d) for d in diags]
+        assert rep.notes == ("tail series converges; transience series converges; "
+                             "recurrence series diverges (numerical evidence)")
+        return
     assert (rep.verdict, rep.source) == (Verdict.POSITIVE_RECURRENT, Source.MONTE_CARLO)
     assert len(rep.diagnostics) == 1 and rep.diagnostics[0] is diags[0]
     assert rep.notes == "tail series converges on a 95% vote (numerical evidence)"
@@ -359,7 +439,7 @@ SERIES_ROUTES = {
     "monte_carlo": (ModelSpec(TruncatedParetoOne(1.0, 1.0), Pareto(0.9, 1.0)), False),
     "monte_carlo_mixture": (MIX_MC, False),
     "analytic_inconclusive": (PAR_NPR, False),
-    "analytic_inconclusive_mixture": (MIX_PAR, False),
+    "analytic_inconclusive_mixture": (MIX_EXCL, False),
     "force_series": (PAR_PR, True),
 }
 
@@ -457,7 +537,7 @@ def test_classify_draws_the_epochs_once(monkeypatch):
 def test_excluded_pr_route_draws_the_epochs_once(monkeypatch):
     # with positive recurrence excluded only the transience and recurrence
     # series run, and at y = w0 they share one tail evaluation per epoch
-    kinds, counts = _count_draws(monkeypatch, MIX_PAR)
+    kinds, counts = _count_draws(monkeypatch, MIX_EXCL)
     assert kinds == ["transience", "recurrence"]
     assert counts == {"uniforms": 2 * 100 * 10_000, "tails": 100 * 10_000}
 
@@ -616,14 +696,13 @@ def test_classify_reads_w0_from_the_service_median(monkeypatch):
 def test_log_log_fits_call_no_lapack(monkeypatch):
     # numpy's least-squares fits run LAPACK's dgelsd, about 1 MB a process
     # on first call: with lstsq made to raise, classify's series route on
-    # the classify-mixture benchmark model and the residual fit of a
-    # horizon scan still finish, with their unpatched verdict and route
-    mixture = ModelSpec(Mixture(((0.7, Exponential(1.5)), (0.3, Pareto(1.5, 0.5)))),
-                        Pareto(0.8, 1.0))
+    # the classify-mixture arrivals against a 1/x service tail and the
+    # residual fit of a horizon scan still finish, with their unpatched
+    # verdict and route
     scan = ModelSpec(Exponential(1.0), Pareto(2.5, 1.0))
 
     def runs():
-        report = classify(mixture, ClassifierConfig(n_max=1000, reps=100), Stream.from_seed(5))
+        report = classify(MIX_EXCL, ClassifierConfig(n_max=1000, reps=100), Stream.from_seed(5))
         return report, stationary_batch(scan, 100, 2000, Stream.from_seed(6))
 
     want_report, want_batch = runs()
