@@ -31,9 +31,12 @@ the caller's array.
 ``largest_draw`` is the largest value ``sample`` can return, which can lie
 far below the essential supremum: ``uniform_open`` never goes above
 1 - 2**-53, and inversion is monotone in the uniform, so an inverting law
-draws at most its quantile there (``inf`` where that overflows, as for a
-Pareto law of small index).  Composition hands each draw to one component,
-so a mixture draws at most the largest of its components' largest draws.
+draws at most its quantile there.  Composition hands each draw to one
+component, so a mixture draws at most the largest of its components'
+largest draws.  A law is built only if its largest draw is finite, so no
+law draws ``inf``: ``Pareto(alpha, 1)`` needs alpha > 53/1024, about 0.0518,
+for scale * 2**(53 / alpha) < 2**1024, and ``Exponential`` a rate above
+about 2.04e-307.
 
 ``_excess_quantile(y)``, for a law of finite mean, is the least x >= 0
 with E(Y - x)+ <= y: the inverse of the mean excess E(Y - x)+ = E Y -
@@ -57,8 +60,9 @@ with cdf(q) >= p, exactly, for any monotone cdf.
 
 Each law names its config ``kind`` where it is defined, which enters it in
 ``CATALOGUE``, and states the bound on each of its fields in that field's
-metadata.  ``Distribution.__post_init__`` checks those bounds, and the
-command line reads the same fields to parse, check and echo every law.
+metadata.  ``Distribution.__post_init__`` checks those bounds, then the
+law's own ``_check`` and its largest draw, and the command line reads the
+same fields to parse, check and echo every law.
 """
 
 from __future__ import annotations
@@ -156,6 +160,14 @@ class Distribution(ABC):
                 problem = bound_problem(x, **f.metadata.get("bound", {}))
                 if problem:
                     raise ValueError(f"{name} {problem}")
+        self._check()
+        if not math.isfinite(self.largest_draw()):
+            raise ValueError("largest draw must be finite: the quantile at the top"
+                             " uniform 1 - 2**-53 must stay below 2**1024")
+
+    def _check(self):
+        """The law's own checks once every field keeps its bound; it may
+        store fields normalised."""
 
     def cdf(self, x):
         """P(Y <= x)."""
@@ -240,7 +252,8 @@ class Distribution(ABC):
 
     def largest_draw(self) -> float:
         """The largest value ``sample`` can return: the quantile at the
-        largest uniform, ``inf`` where it overflows."""
+        largest uniform, ``inf`` where it overflows, which construction
+        refuses."""
         with np.errstate(over="ignore"):
             return float(self._quantile(np.array([_TOP_UNIFORM]))[0])
 
@@ -385,8 +398,7 @@ class TruncatedParetoOne(Distribution, kind="truncated_pareto_one"):
     d1: float = _param(exclusive_minimum=0.0)
     x0: float = _param(exclusive_minimum=0.0)
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check(self):
         if self.x0 < self.d1:
             raise ValueError("x0 must be >= d1")
 
@@ -423,8 +435,7 @@ class Uniform(Distribution, kind="uniform"):
     lo: float = _param(minimum=0.0)
     hi: float = _param(exclusive_minimum=0.0)
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check(self):
         if not self.hi > self.lo:
             raise ValueError("hi must be > lo")
 
@@ -472,8 +483,7 @@ class DiscreteUniform(Distribution, kind="discrete_uniform"):
 
     values: tuple[float, ...] = _param("support", exclusive_minimum=0.0)
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check(self):
         object.__setattr__(self, "values", tuple(sorted(float(v) for v in self.values)))
         if len(self.values) == 0:
             raise ValueError("values must be non-empty")
@@ -534,8 +544,7 @@ class Mixture(Distribution, kind="mixture"):
 
     components: tuple[tuple[float, Distribution], ...] = _param(exclusive_minimum=0.0)
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check(self):
         if len(self.components) == 0:
             raise ValueError("mixture needs at least one component")
         if any(w > 1.0 for w, _ in self.components):  # and fsum cannot overflow
@@ -590,7 +599,7 @@ class Mixture(Distribution, kind="mixture"):
         rescaled to (0, 1], so every draw takes one pick and one value uniform."""
         pick, flat = pick.reshape(-1), u.reshape(-1)
         # the weights added left to right, as _cdf adds them, so the last is
-        # exactly 1 (see __post_init__)
+        # exactly 1 (see _check)
         top = np.cumsum([w for w, _ in self.components])
         # the count of cumulative weights below pick, which is searchsorted's
         # index and, for being taken over all but the last, at most the last
@@ -613,7 +622,7 @@ class Mixture(Distribution, kind="mixture"):
     def _quantile(self, p):
         """Exact generalized inverse: the least double q with cdf(q) >= p,
         by bisection on the int64 bit patterns; see the module docstring."""
-        # cdf(0) = 0 for every law, and __post_init__ makes cdf(inf) exactly 1
+        # cdf(0) = 0 for every law, and _check makes cdf(inf) exactly 1
         lo = np.zeros(p.shape, dtype=np.int64)
         hi = np.full(p.shape, np.float64(np.inf).view(np.int64))
         # a cdf overflows on its way to 1 near the largest doubles

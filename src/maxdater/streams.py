@@ -9,6 +9,12 @@ draws no matter how work is batched or which thread runs it.  With
 calling thread and lanes 1 to threads - 1 on plain threads, lane j taking
 chunks j, j + threads, ...: chunk i draws from ``stream.child(i)`` and
 fills result slot i, whichever lane runs it.
+
+Philox is counter-based (Salmon et al. 2011, "Parallel random numbers: as
+easy as 1, 2, 3"), so when a stream builds its generator cannot change a
+draw.  A root stream costs nothing until it is split or drawn from, and
+``numpy.random`` loads only in runs that draw; a child builds its seed
+sequence at once, on the thread that splits it (see ``Stream``).
 """
 
 from __future__ import annotations
@@ -33,30 +39,39 @@ _TOP_UNIFORM = 1.0 - _INV53
 
 
 class Stream:
-    """Single-owner random source.
+    """Single-owner random source, fully defined by its (seed, path) pair.
 
     A Stream should be consumed by exactly one operation; hand out
-    children for sub-tasks instead of sharing the generator.
+    children for sub-tasks instead of sharing the generator.  A stream
+    from ``from_seed`` holds only that pair and imports nothing until it
+    is split or drawn from, so a run that never draws never loads
+    ``numpy.random``.  ``child`` builds its ``SeedSequence`` at once, so
+    ``numpy.random`` loads on the thread that splits: ``run_chunked`` splits
+    every chunk stream on the calling thread before any helper starts, and
+    a first load on a helper would grow that thread's memory arena.
     """
 
-    __slots__ = ("_seq", "_gen")
+    __slots__ = ("_seed", "_path", "_seq", "_gen")
 
-    def __init__(self, seq: np.random.SeedSequence):
-        self._seq = seq
+    def __init__(self, seed: int, path: tuple[int, ...], seq=None):
+        self._seed, self._path, self._seq = seed, path, seq
         self._gen: np.random.Generator | None = None
 
     @classmethod
     def from_seed(cls, seed: int, *path: int) -> "Stream":
-        return cls(np.random.SeedSequence(seed, spawn_key=tuple(path)))
+        return cls(seed, path)
 
     def child(self, *path: int) -> "Stream":
-        key = tuple(self._seq.spawn_key) + tuple(path)
-        return Stream(np.random.SeedSequence(self._seq.entropy, spawn_key=key))
+        key = self._path + path
+        return Stream(self._seed, key, np.random.SeedSequence(self._seed, spawn_key=key))
 
     @property
     def gen(self) -> np.random.Generator:
         if self._gen is None:
-            self._gen = np.random.Generator(np.random.Philox(self._seq))
+            seq = self._seq
+            if seq is None:  # a root stream, drawn from before it was split
+                seq = np.random.SeedSequence(self._seed, spawn_key=self._path)
+            self._gen = np.random.Generator(np.random.Philox(seq))
         return self._gen
 
     def uniform_open(self, size=None):
@@ -76,7 +91,7 @@ class Stream:
         return np.minimum(u, _TOP_UNIFORM, out=u)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"Stream(entropy={self._seq.entropy}, path={tuple(self._seq.spawn_key)})"
+        return f"Stream(entropy={self._seed}, path={self._path})"
 
 
 def chunk_plan(total: int) -> list[tuple[int, int]]:

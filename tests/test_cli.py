@@ -114,7 +114,9 @@ def test_cross_field_errors_name_the_law():
              ({"kind": "mixture", "components": [
                  {"weight": 0.6, "dist": {"kind": "deterministic", "value": 1.0}},
                  {"weight": 0.3, "dist": {"kind": "deterministic", "value": 2.0}}]},
-              "model.service: mixture weights must sum to 1")]
+              "model.service: mixture weights must sum to 1"),
+             ({"kind": "pareto", "alpha": 0.01, "scale": 1.0},
+              "model.service: largest draw must be finite")]
     for service, message in cases:
         with pytest.raises(ValidationError) as exc:
             validate_config(json.dumps({"model": {
@@ -531,14 +533,20 @@ def _src_env():
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
+def _fresh(code, *args):
+    """What ``code`` prints as JSON when a fresh interpreter on this
+    package's source runs it with ``args``; it must exit 0."""
+    out = subprocess.run([sys.executable, "-c", code, *args], env=_src_env(),
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
 def test_cli_import_loads_no_scipy():
     # scipy's quadrature is imported where it is called, so starting the
     # command line loads no scipy module
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, maxdater.cli; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        env=_src_env(), capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert _fresh("import json, sys, maxdater.cli; print(json.dumps("
+                  "[m for m in sys.modules if m.split('.')[0] == 'scipy']))") == []
 
 
 _RUN_COMMANDS = """\
@@ -578,14 +586,59 @@ def test_commands_load_no_numpy_ma_and_no_thread_pool(tmp_path):
             # a 1/x service tail keeps classify on its series route
             body["model"]["service"] = {"kind": "pareto", "alpha": 1.0, "scale": 1.0}
         configs.append(write_config(tmp_path, body, os.path.basename(path)))
-    out = subprocess.run(
-        [sys.executable, "-c", _RUN_COMMANDS, str(tmp_path / "out.csv"), *configs],
-        env=_src_env(), capture_output=True, text=True, timeout=300)
-    assert out.returncode == 0, out.stderr
-    seen = json.loads(out.stdout)
+    seen = _fresh(_RUN_COMMANDS, str(tmp_path / "out.csv"), *configs)
     # tails refuses the mixture model, which is not positive recurrent
     assert seen["codes"] == [0] * 34 + [4, 4], seen["codes"]
     assert seen["loaded"] == [] and seen["csv"]
+
+
+_NO_DRAWS = """\
+import contextlib, io, json, sys
+from maxdater.cli import run
+codes = []
+for command, cfg in zip(sys.argv[1::2], sys.argv[2::2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(run([command, "--config", cfg]))
+print(json.dumps({"codes": codes, "random": "numpy.random" in sys.modules}))
+"""
+
+
+def test_runs_that_draw_nothing_load_no_numpy_random():
+    # classify settles every shipped model in closed form, and tails refuses
+    # the transient benchmark model before it draws; the root stream builds
+    # no generator, so numpy.random (with secrets, hashlib and hmac) never loads
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    runs = [("classify", os.path.join(root, "scripts/configs", name))
+            for name in ("det_heavy.json", "exp_exp.json", "pareto_phase.json")]
+    mixture = os.path.join(root, "perfbench/configs/classify-mixture.json")
+    runs += [("classify", mixture), ("tails", mixture)]
+    seen = _fresh(_NO_DRAWS, *(arg for pair in runs for arg in pair))
+    assert seen == {"codes": [0, 0, 0, 0, 4], "random": False}
+
+
+_HELPER_START = """\
+import contextlib, io, json, sys, threading
+from maxdater.cli import run
+loaded, start = [], threading.Thread.start
+
+def spy(self):
+    loaded.append("numpy.random" in sys.modules)
+    start(self)
+
+threading.Thread.start = spy
+with contextlib.redirect_stdout(io.StringIO()):
+    code = run(["stationary", "--config", sys.argv[1], "--threads", "2", "--reps", "2000"])
+print(json.dumps({"code": code, "loaded": loaded}))
+"""
+
+
+def test_numpy_random_loads_on_the_caller_before_a_helper_starts():
+    # run_chunked builds every chunk stream on the calling thread, so the
+    # first split loads numpy.random there; a first load on a helper thread
+    # costs that thread's arena about 0.6 MB of peak RSS
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    seen = _fresh(_HELPER_START, os.path.join(root, "perfbench/configs/stationary-exp.json"))
+    assert seen["code"] == 0 and seen["loaded"] and all(seen["loaded"]), seen
 
 
 def test_scripts_write_their_csv(tmp_path):

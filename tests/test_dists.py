@@ -3,6 +3,7 @@ cross-checks."""
 
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from support import (
     model_catalogue,
     truncated_mean_oracle,
 )
-from test_streams import _top_stream  # every uniform is the top one
+from test_streams import _fixed_stream, _top_stream  # every uniform is one value
 
 CATALOGUE = [
     Exponential(1.0),
@@ -111,6 +112,14 @@ def test_parameter_validation():
                      lambda x: DiscreteUniform((1.0, x))):
             with pytest.raises(ValueError, match="must be finite"):
                 make(x)
+    # nor a law whose quantile at the top uniform 1 - 2**-53 overflows: at
+    # scale 1 Pareto needs alpha > 53/1024
+    for make in (lambda: Pareto(0.0517, 1.0), lambda: Pareto(0.01, 1.0),
+                 lambda: Pareto(0.5, 1e300), lambda: Exponential(2e-307),
+                 lambda: TruncatedParetoOne(1e300, 1e300)):
+        with pytest.raises(ValueError, match=r"largest draw must be finite: .* 2\*\*1024"):
+            make()
+    assert math.isfinite(Pareto(0.0518, 1.0).largest_draw())
 
 
 @pytest.mark.parametrize("d", CATALOGUE, ids=lambda d: type(d).__name__ + repr(d)[:30])
@@ -308,7 +317,7 @@ def test_mixture_quantile_is_exact_generalized_inverse(m, ps):
 def test_mixture_quantile_far_apart_scales():
     # 200 halvings of [0, max_i q_i(p)] = [0, 2**200] stopped at 1.0, where
     # cdf(prev_float(1.0)) = 0.626 >= 0.5 already
-    m = Mixture(((0.99, Exponential(1.0)), (0.01, Pareto(0.005, 1.0))))
+    m = Mixture(((0.99, Exponential(1.0)), (0.01, Pareto(0.5, 2.0 ** 198))))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         q = m.quantile(0.5)
@@ -316,21 +325,21 @@ def test_mixture_quantile_far_apart_scales():
     assert m.cdf(q) >= 0.5 > m.cdf(np.nextafter(q, 0.0))
 
 
-def test_mixture_quantile_overflowed_component_quantile():
-    # Pareto(0.01) quantiles overflow to inf near p = 1; inf is a valid
-    # upper end, and here the mixture cdf stays below p at every finite x
-    m = Mixture(((0.5, Exponential(1.0)), (0.5, Pareto(0.01, 1.0))))
+def test_mixture_quantile_near_the_largest_double():
+    # Pareto(0.0518), the smallest index built at scale 1, draws up to
+    # 1.008e308 at the top uniform; the mixture's top quantile is finite too
+    m = Mixture(((0.5, Exponential(1.0)), (0.5, Pareto(0.0518, 1.0))))
     ps = np.array([0.5, 0.99, 1.0 - 2.0 ** -53])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         qs = m.quantile(ps)
     assert list(qs) == [generalized_inverse_oracle(m, p) for p in ps]
-    assert qs[-1] == math.inf
-    # rate * x overflows in the Exponential cdf on the way to the top double
-    m = Mixture(((0.5, Exponential(4.0)), (0.5, Pareto(0.01, 1.0))))
+    assert 1e300 < qs[-1] < math.inf
+    # rate * x overflows in the Exponential cdf on the way to 1e308
+    m = Mixture(((0.5, Exponential(4.0)), (0.5, Deterministic(1e308))))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert m.quantile(1.0 - 2.0 ** -53) == math.inf
+        assert m.quantile(1.0 - 2.0 ** -53) == 1e308
 
 
 def test_mixture_quantile_keeps_shape():
@@ -573,19 +582,18 @@ def test_exponential_draws_are_its_quantiles(rate):
         assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
 
 
-@given(alpha=st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.01, 20.0)),
+@given(alpha=st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.054, 20.0)),
        scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**31))
 @settings(max_examples=100, deadline=None)
 def test_pareto_draws_are_its_quantiles(alpha, scale, seed):
     # the sampler raises 1 - u to its power in place; **= takes the same
-    # scalar-power path as **, so the bits agree.  Small indices overflow
-    # to inf on both sides.
+    # scalar-power path as **, so the bits agree.  Indices down to 0.054
+    # are built at every scale up to 1e3.
     d = Pareto(alpha, scale)
-    with np.errstate(over="ignore"):
-        for size in (None, (3, 200)):
-            got = d.sample(Stream.from_seed(seed, 4), size)
-            want = d._quantile(np.atleast_1d(Stream.from_seed(seed, 4).uniform_open(size)))
-            assert np.array_equal(np.atleast_1d(got).view(np.int64), want.view(np.int64))
+    for size in (None, (3, 200)):
+        got = d.sample(Stream.from_seed(seed, 4), size)
+        want = d._quantile(np.atleast_1d(Stream.from_seed(seed, 4).uniform_open(size)))
+        assert np.array_equal(np.atleast_1d(got).view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("d", CATALOGUE, ids=lambda d: type(d).__name__ + repr(d)[:30])
@@ -631,24 +639,24 @@ def test_public_boundary(d):
 # ---------------------------------------------------------- largest draw
 
 # every kind at extreme parameters: quantiles at the top uniform from about
-# 1e-300 up to past the largest double, where they overflow to inf
+# 1e-300 up to just below the largest double: the largest built
 _EXTREMES = [
     Exponential(1e-300),
     Exponential(1e300),
     Deterministic(1e-300),
     Deterministic(1e300),
-    Pareto(0.01, 1.0),
+    Pareto(0.0518, 1.0),
     Pareto(100.0, 1e-300),
-    Pareto(0.5, 1e300),
+    Pareto(0.5, 2e276),
     TruncatedParetoOne(1e-300, 1e-300),
-    TruncatedParetoOne(1e300, 1e300),
+    TruncatedParetoOne(1.9e292, 1.9e292),
     Uniform(0.0, 1e-300),
     Uniform(1e300, 1.5e300),
     DiscreteUniform((1e-300, 1.0, 1e300)),
-    Mixture(((0.5, Exponential(1e-300)), (0.5, Pareto(0.01, 1.0)))),
+    Mixture(((0.5, Exponential(1e-300)), (0.5, Pareto(0.0518, 1.0)))),
     Mixture(((0.3, Uniform(0.0, 2.0)),
              (0.7, Mixture(((0.5, Deterministic(1e300)), (0.5, Exponential(1.0))))))),
-    Mixture(((1e-9, TruncatedParetoOne(1e300, 1e300)),
+    Mixture(((1e-9, TruncatedParetoOne(1.9e292, 1.9e292)),
              (1.0 - 1e-9, Mixture(((0.5, Mixture(((1.0, Deterministic(3.0)),))),
                                    (0.5, DiscreteUniform((1.0, 2.0)))))))),
 ]
@@ -689,14 +697,12 @@ _MODEL_LAWS = [d for _, m in model_catalogue() for d in (m.interarrival, m.servi
 def test_largest_draw_is_the_draw_at_the_top_uniform(d):
     # inversion is monotone in the uniform, so the top uniform gives the
     # largest draw exactly; composition picks the last component there and
-    # draws at most the largest of all.  Samplers that overflow to inf at
-    # the top uniform warn; their warnings are not what is checked here.
+    # draws at most the largest of all
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         top = d.largest_draw()
     assert type(top) is float and d.support()[0] <= top <= d.support()[1]
-    with np.errstate(over="ignore"):
-        got = d.sample(_top_stream(), (2, 3))
+    got = d.sample(_top_stream(), (2, 3))
     if isinstance(d, Mixture):
         assert np.all(got <= top)
     else:
@@ -706,17 +712,52 @@ def test_largest_draw_is_the_draw_at_the_top_uniform(d):
 @given(m=_ANY_LAW.filter(lambda d: isinstance(d, Mixture)))
 @settings(max_examples=100, deadline=None)
 def test_mixture_largest_draw_is_its_components_max(m):
-    with np.errstate(over="ignore"):
-        want = max(leaf.quantile(1.0 - 2.0 ** -53) for leaf in _leaves(m))
+    want = max(leaf.quantile(1.0 - 2.0 ** -53) for leaf in _leaves(m))
     assert m.largest_draw() == want == max(d.largest_draw() for _, d in m.components)
 
 
 @given(d=_ANY_LAW, seed=st.integers(0, 2**31))
 @settings(max_examples=100, deadline=None)
 def test_draws_never_exceed_the_largest_draw(d, seed):
-    with np.errstate(over="ignore"):
-        x = d.sample(Stream.from_seed(seed, 11), 500)
+    x = d.sample(Stream.from_seed(seed, 11), 500)
     assert np.all(x <= d.largest_draw())
+
+
+# the edges of every bound: the least positive double, the least normal
+# one, each side of the overflow bounds, and the largest double
+_EDGES = (5e-324, 2.2250738585072014e-308, 2.05e-307, 1e-300, 0.0517, 0.0518, 1.0,
+          53.0, 2e276, 1.9e292, 1e308, 1.7976931348623157e308)
+
+
+@st.composite
+def _edge_leaves(draw):
+    """A law of each kind but Mixture with every field at an edge of its
+    bound, where that law is built."""
+    cls = draw(st.sampled_from([c for c in dists.CATALOGUE.values() if c is not Mixture]))
+    args = []
+    for f in fields(cls):
+        bound = f.metadata["bound"]
+        edges = st.sampled_from(_EDGES + ((0.0,) if bound.get("minimum") == 0.0 else ()))
+        args.append(tuple(draw(st.lists(edges, min_size=1, max_size=3)))
+                    if cls is DiscreteUniform else draw(edges))
+    try:
+        return cls(*args)
+    except ValueError:  # beyond the overflow bound or a bound between fields
+        assume(False)
+
+
+@given(d=st.one_of(_edge_leaves(), _mixtures_of(st.one_of(_edge_leaves(),
+                                                           _mixtures_of(_edge_leaves())))),
+       seed=st.integers(0, 2**31))
+@settings(max_examples=300, deadline=None)
+def test_laws_at_their_edges_draw_finite_values_inside_the_support(d, seed):
+    # random uniforms, then the smallest and the largest uniform_open gives;
+    # the suite turns any RuntimeWarning into an error
+    lo, hi = d.support()
+    for stream in (Stream.from_seed(seed, 12), _fixed_stream(0.0), _top_stream()):
+        x = d.sample(stream, 64)
+        assert np.all(np.isfinite(x)), (d, x)
+        assert np.all((lo <= x) & (x <= hi)), (d, x[(x < lo) | (x > hi)])
 
 
 @st.composite

@@ -354,15 +354,14 @@ def test_backward_kernel_draws_services_only_until_the_largest_draw():
 
 
 @pytest.mark.parametrize("block", [None, 16])
-def test_backward_kernel_infinite_largest_draw_draws_every_service(block):
-    # Pareto(0.01) overflows to inf at the top uniforms, so no clock passes
-    # its largest draw and every column gets its service.  The overflow
-    # warnings of its sampler are not what is checked here.
-    m = ModelSpec(Exponential(1.0), Pareto(0.01, 1.0))
-    assert m.service.largest_draw() == math.inf
-    with np.errstate(over="ignore"):
-        _, t, _, drawn = _recorded_backward(m, 3, 4, 100, block=block,
-                                            grid=_residual_grid(100))
+def test_backward_kernel_unreachable_largest_draw_draws_every_service(block):
+    # Pareto(0.0518), the smallest index built at scale 1, draws up to
+    # 1.008e308, so no clock passes its largest draw and every column gets
+    # its service
+    m = ModelSpec(Exponential(1.0), Pareto(0.0518, 1.0))
+    assert 1e308 < m.service.largest_draw() < math.inf
+    _, t, _, drawn = _recorded_backward(m, 3, 4, 100, block=block,
+                                        grid=_residual_grid(100))
     assert drawn == t.size >= 3 * 100
 
 

@@ -7,25 +7,32 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxdater import Stream
 from maxdater.dists import Exponential
 from maxdater.streams import N_CHUNKS, chunk_plan, run_chunked
 
 
-class _TopGenerator:
-    """Stands in for the Philox generator: always the largest double below
-    1 that ``random`` gives, (2**53 - 1) / 2**53."""
+class _FixedGenerator:
+    """Stands in for the Philox generator: ``random`` always gives ``value``."""
+
+    def __init__(self, value):
+        self.value = value
 
     def random(self, size=None):
-        top = (2.0 ** 53 - 1.0) * 2.0 ** -53
-        return np.full(size, top) if size is not None else top
+        return np.full(size, self.value) if size is not None else self.value
+
+
+def _fixed_stream(value):
+    st = Stream.from_seed(0)
+    st._gen = _FixedGenerator(value)
+    return st
 
 
 def _top_stream():
-    st = Stream.from_seed(0)
-    st._gen = _TopGenerator()
-    return st
+    # the largest double below 1 that ``random`` gives, (2**53 - 1) / 2**53
+    return _fixed_stream((2.0 ** 53 - 1.0) * 2.0 ** -53)
 
 
 def test_uniform_open_top_draw_stays_below_one():
@@ -90,6 +97,37 @@ def test_uniform_open_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * size[0] * size[1] * 8
+
+
+def _philox_uniform_open(seed, path, size=None):
+    """uniform_open's transform of numpy's own Philox draws at (seed, path),
+    the stream's definition: (k + 1/2) / 2**53 clamped to 1 - 2**-53."""
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=path)))
+    return np.minimum(gen.random(size) + 2.0 ** -54, 1.0 - 2.0 ** -53)
+
+
+_KEYS = st.lists(st.integers(0, 2**64), max_size=3)
+
+
+@given(seed=st.integers(0, 2**128), p=_KEYS, qs=st.lists(_KEYS, max_size=3),
+       n=st.integers(0, 300))
+@settings(max_examples=100, deadline=None)
+def test_streams_are_philox_at_their_seed_and_path(seed, p, qs, n):
+    # a root stream, and children split from it one call or several calls
+    # at a time, draw numpy's bits at (seed, path) whenever they are built
+    q = [k for part in qs for k in part]
+    for stream, key in ((Stream.from_seed(seed, *p), p),
+                     (Stream.from_seed(seed, *p).child(*q), p + q)):
+        want = _philox_uniform_open(seed, tuple(key), n)
+        assert np.array_equal(stream.uniform_open(n).view(np.int64), want.view(np.int64))
+    nested = Stream.from_seed(seed, *p)
+    for part in qs:
+        nested = nested.child(*part)
+    want = _philox_uniform_open(seed, tuple(p + q), n)
+    assert np.array_equal(nested.uniform_open(n).view(np.int64), want.view(np.int64))
+    scalar = Stream.from_seed(seed, *p).child(*q).uniform_open()
+    assert type(scalar) is np.float64
+    assert scalar.view(np.int64) == _philox_uniform_open(seed, tuple(p + q)).view(np.int64)
 
 
 def test_chunk_plan_tiles_the_replications():
