@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-import numpy as np
-
 from .dists import (
     Deterministic,
     DiscreteUniform,
@@ -44,7 +42,9 @@ from .dists import (
     TruncatedParetoOne,
 )
 from .engine import ModelSpec, _block, _epochs, _fit_line, _forward, _median0, _unique
-from .streams import Stream, run_chunked
+from .streams import _Numpy, Stream, run_chunked
+
+np = _Numpy(globals())
 
 __all__ = [
     "Verdict",

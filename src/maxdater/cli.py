@@ -24,16 +24,16 @@ from dataclasses import dataclass, is_dataclass, fields as dc_fields
 from enum import Enum
 from typing import get_type_hints
 
-import numpy as np
-
 from . import __version__
 from .classify import ClassifierConfig, SeriesThresholds, Verdict, classify, compare_queues
 from .dists import CATALOGUE, Distribution, bound_problem
 from .engine import ModelSpec, _quantiles, simulate_gg1, simulate_path
 from .loynes import DivergenceSuspected, stationary_batch
 from .regen import detect, find_params, phi_sample, renewal_tests
-from .streams import Stream
+from .streams import _Numpy, Stream
 from .tails import empirical_tail
+
+np = _Numpy(globals())
 
 __all__ = ["ValidationError", "ExperimentConfig", "validate_config", "run", "main"]
 
@@ -304,12 +304,13 @@ def _jsonable(obj):
         if math.isinf(obj):
             return "inf" if obj > 0 else "-inf"
         return obj
-    if isinstance(obj, (np.floating, np.integer)):
-        return _jsonable(obj.item())
     if isinstance(obj, Enum):
         return obj.value
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+    # no numpy object exists before numpy loads; a numpy scalar's tolist is
+    # its item
+    numpy = sys.modules.get("numpy")
+    if numpy is not None and isinstance(obj, (numpy.generic, numpy.ndarray)):
+        return _jsonable(obj.tolist())
     if is_dataclass(obj):
         return {f.name: _jsonable(getattr(obj, f.name)) for f in dc_fields(obj)}
     if isinstance(obj, dict):
@@ -335,7 +336,8 @@ def _array_block(arr):
 def _blocks(obj):
     """A dataclass as the dict of its fields, recursively, with each array
     as an ``_array_block``."""
-    if isinstance(obj, np.ndarray):
+    numpy = sys.modules.get("numpy")  # as in _jsonable
+    if numpy is not None and isinstance(obj, numpy.ndarray):
         return _array_block(obj)
     if is_dataclass(obj):
         return {f.name: _blocks(getattr(obj, f.name)) for f in dc_fields(obj)}

@@ -34,9 +34,15 @@ far below the essential supremum: ``uniform_open`` never goes above
 draws at most its quantile there.  Composition hands each draw to one
 component, so a mixture draws at most the largest of its components'
 largest draws.  A law is built only if its largest draw is finite, so no
-law draws ``inf``: ``Pareto(alpha, 1)`` needs alpha > 53/1024, about 0.0518,
-for scale * 2**(53 / alpha) < 2**1024, and ``Exponential`` a rate above
-about 2.04e-307.
+law draws ``inf``.  Construction decides that without numpy: a bounded law
+draws at most its supremum, a mixture's components were built first, and
+the other laws' ``_check`` works the quantile kernel at the top uniform
+with ``math``, step by step in the kernel's order, and refuses a step
+within 16 ulps of 2**1024, where numpy's own rounding could reach it.  The
+order matters: ``Pareto`` raises 2**-53 to the power -1/alpha before it
+scales, so it needs alpha > 53/1024, about 0.0518, at any scale <= 1,
+though at scale 1e-3 the product alone would stay finite.  ``Exponential``
+needs a rate above about 2.04e-307.
 
 ``_excess_quantile(y)``, for a law of finite mean, is the least x >= 0
 with E(Y - x)+ <= y: the inverse of the mean excess E(Y - x)+ = E Y -
@@ -61,8 +67,8 @@ with cdf(q) >= p, exactly, for any monotone cdf.
 Each law names its config ``kind`` where it is defined, which enters it in
 ``CATALOGUE``, and states the bound on each of its fields in that field's
 metadata.  ``Distribution.__post_init__`` checks those bounds, then the
-law's own ``_check`` and its largest draw, and the command line reads the
-same fields to parse, check and echo every law.
+law's own ``_check``, and the command line reads the same fields to parse,
+check and echo every law.
 """
 
 from __future__ import annotations
@@ -72,9 +78,9 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, fields
 from typing import ClassVar, Optional
 
-import numpy as np
+from .streams import _TOP_UNIFORM, _Numpy, Stream
 
-from .streams import _TOP_UNIFORM, Stream
+np = _Numpy(globals())
 
 __all__ = [
     "CATALOGUE",
@@ -135,6 +141,18 @@ class TailClass:
     alpha: Optional[float] = None
 
 
+# 2**1024 - 2**975, 16 ulps of the top binade below 2**1024
+_OVERFLOW_EDGE = 2.0 ** 1023 * (2.0 - 2.0 ** -48)
+
+
+def _refuse_overflow(*steps):
+    """Refuse a law unless every step of its quantile kernel at the top
+    uniform, worked with ``math``, stays below ``_OVERFLOW_EDGE``."""
+    if not all(x < _OVERFLOW_EDGE for x in steps):
+        raise ValueError("largest draw must be finite: the quantile at the top"
+                         " uniform 1 - 2**-53 must stay below 2**1024")
+
+
 def _out(kernel, x):
     """``kernel`` on the float array ``x``; a float for a 0-d x, which goes
     in as one element (numpy scalar ``**`` rounds apart from arrays)."""
@@ -161,9 +179,6 @@ class Distribution(ABC):
                 if problem:
                     raise ValueError(f"{name} {problem}")
         self._check()
-        if not math.isfinite(self.largest_draw()):
-            raise ValueError("largest draw must be finite: the quantile at the top"
-                             " uniform 1 - 2**-53 must stay below 2**1024")
 
     def _check(self):
         """The law's own checks once every field keeps its bound; it may
@@ -252,15 +267,16 @@ class Distribution(ABC):
 
     def largest_draw(self) -> float:
         """The largest value ``sample`` can return: the quantile at the
-        largest uniform, ``inf`` where it overflows, which construction
-        refuses."""
-        with np.errstate(over="ignore"):
-            return float(self._quantile(np.array([_TOP_UNIFORM]))[0])
+        largest uniform."""
+        return float(self._quantile(np.array([_TOP_UNIFORM]))[0])
 
 
 @dataclass(frozen=True)
 class Exponential(Distribution, kind="exponential"):
     rate: float = _param(exclusive_minimum=0.0)
+
+    def _check(self):
+        _refuse_overflow(-math.log1p(-_TOP_UNIFORM) / self.rate)
 
     def _cdf(self, x):
         return np.where(x <= 0, 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0)))
@@ -338,6 +354,15 @@ class Pareto(Distribution, kind="pareto"):
     alpha: float = _param(exclusive_minimum=0.0)
     scale: float = _param(exclusive_minimum=0.0)
 
+    def _check(self):
+        # the power first, as the kernel takes it: it can overflow where the
+        # draw, at scale < 1, would not
+        try:
+            power = (1.0 - _TOP_UNIFORM) ** (-1.0 / self.alpha)
+        except OverflowError:
+            power = math.inf
+        _refuse_overflow(power, self.scale * power)
+
     def _cdf(self, x):
         z = np.maximum(x, self.scale) / self.scale
         return np.where(x < self.scale, 0.0, 1.0 - z ** (-self.alpha))
@@ -401,6 +426,7 @@ class TruncatedParetoOne(Distribution, kind="truncated_pareto_one"):
     def _check(self):
         if self.x0 < self.d1:
             raise ValueError("x0 must be >= d1")
+        _refuse_overflow(self.d1 / (1.0 - _TOP_UNIFORM))  # np.where runs both branches
 
     def _cdf(self, x):
         z = np.maximum(x, self.x0)

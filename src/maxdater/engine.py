@@ -27,10 +27,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .dists import Distribution
-from .streams import Stream
+from .streams import _Numpy, Stream
+
+np = _Numpy(globals())
 
 # Draws in one (paths, block) piece at most.  Fixed, so results depend only
 # on the seed and the replication plan, never on memory pressure.

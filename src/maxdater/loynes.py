@@ -37,11 +37,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .dists import Exponential
 from .engine import _BLOCK_ELEMS, ModelSpec, _block, _epochs, _fit_line, _passing_steps, _unique
-from .streams import Stream, run_chunked
+from .streams import _Numpy, Stream, run_chunked
+
+np = _Numpy(globals())
 
 __all__ = [
     "StationaryBatch",
@@ -208,13 +208,11 @@ def _exact_route(m: ModelSpec, rows: int, horizon: int) -> bool:
     """Whether ``rows`` draws within ``horizon`` are exact: the service law
     is bounded, or the absorbing scan's bound on the steps ``rows`` clocks
     take to pass its largest draw (``_passing_steps``) is within
-    ``horizon``.  False where that bound does not exist: an infinite
-    largest draw or a nonpositive inter-arrival median."""
+    ``horizon``.  False where that bound does not exist: a nonpositive
+    inter-arrival median."""
     if math.isfinite(m.service.support()[1]):
         return True
     s_up = m.service.largest_draw()
-    if not math.isfinite(s_up):
-        return False
     try:
         steps, _ = _passing_steps(m, s_up, rows, "the absorbing scan",
                                   "the largest service draw")

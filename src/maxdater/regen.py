@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dists import Deterministic
 from .engine import ModelSpec, PathSample, _endpoints, _forward, _passing_steps
-from .streams import Stream, run_chunked
+from .streams import _Numpy, Stream, run_chunked
+
+np = _Numpy(globals())
 
 __all__ = [
     "RegenParams",

@@ -15,6 +15,9 @@ easy as 1, 2, 3"), so when a stream builds its generator cannot change a
 draw.  A root stream costs nothing until it is split or drawn from, and
 ``numpy.random`` loads only in runs that draw; a child builds its seed
 sequence at once, on the thread that splits it (see ``Stream``).
+
+numpy itself loads at a run's first array operation, not at import (see
+``_Numpy``); in a run that draws, on the calling thread by its first split.
 """
 
 from __future__ import annotations
@@ -22,11 +25,30 @@ from __future__ import annotations
 import threading
 from typing import Callable, TypeVar
 
-import numpy as np
-
 __all__ = ["Stream", "chunk_plan", "run_chunked"]
 
 _T = TypeVar("_T")
+
+
+class _Numpy:
+    """Stands for numpy as a module's ``np`` until an attribute is read.
+    The first read, in any module, imports numpy and binds every such
+    module's ``np`` to numpy itself, so later reads cost nothing extra."""
+
+    _globals = []  # of every module that holds one
+
+    def __init__(self, module_globals: dict):
+        self._globals.append(module_globals)
+
+    def __getattr__(self, name):
+        import numpy
+
+        for g in self._globals:
+            g["np"] = numpy
+        return getattr(numpy, name)
+
+
+np = _Numpy(globals())
 
 # Fixed fan-out of replication work.  Results are combined in chunk order,
 # so the thread count never changes what is computed.

@@ -22,13 +22,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-import numpy as np
-
 from .classify import ClassificationReport, Verdict, classify
 from .dists import Distribution, Exponential, Pareto
 from .engine import ModelSpec, _quantiles, _unique
 from .loynes import stationary_batch
-from .streams import Stream
+from .streams import _Numpy, Stream
+
+np = _Numpy(globals())
 
 __all__ = [
     "Regime",

@@ -11,12 +11,13 @@ import sys
 from dataclasses import fields
 from typing import get_type_hints
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import maxdater
 from maxdater import ModelSpec, dists
-from maxdater.cli import ValidationError, _resolved_config, run, validate_config
+from maxdater.cli import ValidationError, _jsonable, _resolved_config, run, validate_config
 
 EXP_EXP = {"interarrival": {"kind": "exponential", "rate": 1.0},
            "service": {"kind": "exponential", "rate": 1.0}}
@@ -400,6 +401,16 @@ def test_seed_changes_output(tmp_path):
     assert a.read_bytes() == c.read_bytes()
 
 
+def test_numpy_scalars_and_arrays_serialise_as_python_values():
+    # numpy.bool_ is no bool, and float32 no float: each goes as its .item()
+    for x in (np.bool_(True), np.float32(0.1), np.int64(-3), np.float64(np.inf)):
+        got = _jsonable(x)
+        assert type(got) is type(_jsonable(x.item())) and got == _jsonable(x.item())
+    assert _jsonable(np.array([[1.5, np.inf], [np.nan, -0.0]])) == [[1.5, "inf"], ["nan", -0.0]]
+    assert _jsonable(np.arange(3, dtype=np.int64)) == [0, 1, 2]
+    assert json.dumps(_jsonable({"a": np.array([True, False])})) == '{"a": [true, false]}'
+
+
 # ----------------------------------------------------------- exit codes
 
 
@@ -592,28 +603,51 @@ def test_commands_load_no_numpy_ma_and_no_thread_pool(tmp_path):
     assert seen["loaded"] == [] and seen["csv"]
 
 
-_NO_DRAWS = """\
+_NO_ARRAYS = """\
 import contextlib, io, json, sys
-from maxdater.cli import run
-codes = []
-for command, cfg in zip(sys.argv[1::2], sys.argv[2::2]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        codes.append(run([command, "--config", cfg]))
-print(json.dumps({"codes": codes, "random": "numpy.random" in sys.modules}))
+import maxdater, maxdater.cli
+from maxdater.cli import run, validate_config
+configs, mixture, bad = sys.argv[1:-2], sys.argv[-2], sys.argv[-1]
+loaded, codes = {"import": "numpy" in sys.modules}, []
+for cfg in configs:
+    with open(cfg) as fh:
+        validate_config(fh.read())
+loaded["validate"] = "numpy" in sys.modules
+runs = [("config error", ["classify", "--config", bad])]
+runs += [("classify", ["classify", "--config", cfg]) for cfg in configs]
+runs += [("tails", ["tails", "--config", mixture]),
+         ("stationary", ["stationary", "--config", configs[-1], "--reps", "2000"])]
+for step, argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(run(argv))
+    loaded[step] = "numpy" in sys.modules
+numpy = sys.modules["numpy"]
+bound = sorted(name for name, m in sys.modules.items()
+               if name.startswith("maxdater.") and getattr(m, "np", numpy) is not numpy)
+print(json.dumps({"codes": codes, "loaded": loaded, "not_numpy": bound}))
 """
 
 
-def test_runs_that_draw_nothing_load_no_numpy_random():
-    # classify settles every shipped model in closed form, and tails refuses
-    # the transient benchmark model before it draws; the root stream builds
-    # no generator, so numpy.random (with secrets, hashlib and hmac) never loads
+def test_runs_that_compute_no_arrays_load_no_numpy(tmp_path):
+    # a law's overflow bound is closed form, classify settles every shipped
+    # model in closed form, and tails refuses the transient benchmark model
+    # before it draws: numpy (about 13 MB) loads at the first array operation
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    runs = [("classify", os.path.join(root, "scripts/configs", name))
-            for name in ("det_heavy.json", "exp_exp.json", "pareto_phase.json")]
     mixture = os.path.join(root, "perfbench/configs/classify-mixture.json")
-    runs += [("classify", mixture), ("tails", mixture)]
-    seen = _fresh(_NO_DRAWS, *(arg for pair in runs for arg in pair))
-    assert seen == {"codes": [0, 0, 0, 0, 4], "random": False}
+    configs = [os.path.join(root, "scripts/configs", name)
+               for name in ("det_heavy.json", "exp_exp.json", "pareto_phase.json")]
+    configs += [os.path.join(root, "perfbench/configs", name)
+                for name in ("classify-mixture.json", "regen-exp.json", "stationary-exp.json")]
+    # a Pareto law whose largest draw overflows is a config error
+    bad = write_config(tmp_path, {"model": {
+        "interarrival": {"kind": "exponential", "rate": 1.0},
+        "service": {"kind": "pareto", "alpha": 0.0517, "scale": 1.0}}})
+    seen = _fresh(_NO_ARRAYS, *configs, mixture, bad)
+    assert seen["codes"] == [2] + [0] * 6 + [4, 0], seen["codes"]
+    assert seen["loaded"] == {"import": False, "validate": False, "config error": False,
+                              "classify": False, "tails": False, "stationary": True}
+    # after the first array operation every module's np is numpy itself
+    assert seen["not_numpy"] == []
 
 
 _HELPER_START = """\

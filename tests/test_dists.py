@@ -2,12 +2,13 @@
 cross-checks."""
 
 import math
+import re
 import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats
 
 from maxdater import Stream
@@ -758,6 +759,90 @@ def test_laws_at_their_edges_draw_finite_values_inside_the_support(d, seed):
         x = d.sample(stream, 64)
         assert np.all(np.isfinite(x)), (d, x)
         assert np.all((lo <= x) & (x <= hi)), (d, x[(x < lo) | (x > hi)])
+
+
+_BIGGEST = 1.7976931348623157e308
+_TOP_LOG = -math.log1p(-(1.0 - 2.0 ** -53))  # 53 ln 2, Exponential's top at rate 1
+
+
+@st.composite
+def _near_overflow(draw):
+    """(law, parameters) of an unbounded law within about 1% of the edge
+    where its quantile at the top uniform overflows, log-uniformly, or
+    within 64 ulps of it."""
+
+    def near(edge):
+        return edge * draw(st.one_of(
+            st.floats(-0.01, 0.01).map(math.exp),
+            st.integers(-64, 64).map(lambda k: 1.0 + k * 2.0 ** -52)))
+
+    cls = draw(st.sampled_from([Exponential, Pareto, TruncatedParetoOne]))
+    if cls is Exponential:
+        return cls, (near(_TOP_LOG / _BIGGEST),)
+    if cls is Pareto:  # below scale 1 the power overflows first
+        log_scale = draw(st.floats(-1000.0, 1000.0))
+        alpha = 53.0 / (1024.0 - max(log_scale, 0.0))
+        if log_scale < 1.0:
+            return cls, (near(alpha), 2.0 ** log_scale)
+        return cls, (alpha, near(_BIGGEST / (2.0 ** -53) ** (-1.0 / alpha)))
+    d1 = near(2.0 ** 971)
+    return cls, (d1, min(d1 * 2.0 ** draw(st.floats(0.0, 60.0)), _BIGGEST))
+
+
+def _log2_top(cls, args):
+    """log2 of the largest value the top quantile's kernel reaches on the
+    way, worked out in log space: the oracle for the overflow edge."""
+    if cls is Exponential:
+        return math.log2(_TOP_LOG) - math.log2(args[0])
+    if cls is Pareto:
+        alpha, scale = args
+        return 53.0 / alpha + max(math.log2(scale), 0.0)
+    return math.log2(args[0]) + 53.0  # d1 / 2**-53
+
+
+def _assert_finite_top(d):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert math.isfinite(d.largest_draw()), d
+        assert np.all(np.isfinite(d.sample(_top_stream(), 4))), d
+
+
+def _built(law):
+    try:
+        return law[0](*law[1])
+    except ValueError:
+        return None
+
+
+@given(law=_near_overflow())
+@example(law=(Pareto, (0.0515, 1e-3)))  # log2(scale) + 53/alpha < 1024 < 53/alpha
+# math's power times the scale is the largest double; where numpy's array
+# power rounds 1 ulp above math's, as its AVX-512 kernel does at this alpha,
+# the product overflows
+@example(law=(Pareto, (1.9187112628491811, 8.698653657949532e+299)))
+@settings(max_examples=500, deadline=None)
+def test_only_laws_with_finite_top_draws_are_built(law):
+    # construction bounds the top quantile with math, no numpy; whatever it
+    # builds must draw finite values at the top uniform, and it refuses only
+    # at the edge (its margin is 16 ulps) or past it
+    excess = _log2_top(*law) - 1024.0
+    try:
+        d = law[0](*law[1])
+    except ValueError as exc:
+        assert re.fullmatch(r"largest draw must be finite: .* 2\*\*1024", str(exc)), exc
+        assert excess > -1e-9, (law, excess)
+        return
+    assert excess < 1e-9, (law, excess)
+    _assert_finite_top(d)
+
+
+_NEAR_LEAF = _near_overflow().map(_built).filter(lambda d: d is not None)
+
+
+@given(m=_mixtures_of(st.one_of(_NEAR_LEAF, _mixtures_of(_NEAR_LEAF))))
+@settings(max_examples=100, deadline=None)
+def test_mixtures_of_laws_near_overflow_draw_finite_tops(m):
+    _assert_finite_top(m)
 
 
 @st.composite
