@@ -32,16 +32,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .dists import (
-    Deterministic,
-    DiscreteUniform,
-    Distribution,
-    Mixture,
-    Pareto,
-    QuadratureError,
-    TruncatedParetoOne,
-)
-from .engine import ModelSpec, _block, _epochs, _fit_line, _forward, _median0, _unique
+from .dists import Deterministic, Distribution, Mixture, Pareto, QuadratureError
+from .engine import ModelSpec, _block, _epochs, _fit_line, _forward, _int_grid, _median0
 from .streams import _Numpy, Stream, run_chunked
 
 np = _Numpy(globals())
@@ -157,10 +149,6 @@ class EricksonReport:
 
 
 # ---------------------------------------------------------------- series
-
-
-def _log_grid(n_max: int) -> np.ndarray:
-    return _unique(np.round(np.geomspace(1, n_max, _GRID_POINTS)).astype(np.int64))
 
 
 def _series_verdict(grid, sums, thr: SeriesThresholds):
@@ -279,7 +267,7 @@ def _series(m: ModelSpec, series: tuple, n_max: int, reps: int,
         raise ValueError("n_max must be >= 1000")
     if reps < 100:
         raise ValueError("reps must be >= 100")
-    grid = _log_grid(n_max)
+    grid = _int_grid(1, n_max, _GRID_POINTS)
     specs = tuple((shift, grid - 1 if kind is SeriesKind.TRANSIENCE else grid)
                   for kind, shift, _ in series)
     sums = _tail_sums(m, int(grid[-1]), specs, reps, stream, threads)
@@ -386,7 +374,7 @@ def analytic_phase(m: ModelSpec) -> Optional[ClassificationReport]:
        Borel-Cantelli lemma X_n <= y happens finitely often, for every y and
        x0.  A mixture's tail class is its heaviest component's, and its tail
        is at least that component's weight times the component's tail.
-    3. Deterministic arrivals against an exact 1/x tail: ``_det_inverse_tail``.
+    3. Deterministic arrivals against a tail exactly scale / x: ``_det_inverse_tail``.
     4. Pareto against Pareto with the heavier service tail: excluded.
     5. E t < inf and E s = inf: excluded.  By the strong law T_k <= 2 E t k
        for all large k a.s., and sum_k Fbar_s(x + 2 E t k) = inf for every
@@ -404,11 +392,8 @@ def analytic_phase(m: ModelSpec) -> Optional[ClassificationReport]:
         return _analytic(Verdict.TRANSIENT,
                          "finite-mean arrivals against service tail index {:.3g} "
                          "below 1: workload outruns the clock".format(tail.alpha))
-    if isinstance(t, Deterministic):
-        if isinstance(s, Pareto) and s.alpha == 1.0:  # exact 1/x tail, coefficient = scale
-            return _det_inverse_tail(t.value, s.scale)
-        if isinstance(s, TruncatedParetoOne):
-            return _det_inverse_tail(t.value, s.d1)
+    if isinstance(t, Deterministic) and tail.alpha == 1.0 and tail.scale is not None:
+        return _det_inverse_tail(t.value, tail.scale)  # tail exactly scale / x
     if isinstance(s, Pareto) and isinstance(t, Pareto) and s.alpha < t.alpha:
         return _analytic(Verdict.INCONCLUSIVE,
                          "positive recurrence excluded: service tail index "
@@ -452,39 +437,35 @@ def classify(m: ModelSpec, cfg: ClassifierConfig = None,
 
     w0 = cfg.w0 if cfg.w0 is not None else m.service.quantile(0.5)
     y = cfg.y if cfg.y is not None else w0
-    # one sample of arrival epochs feeds every series
+    # one sample of arrival epochs feeds every series; the tail series is
+    # left out where positive recurrence is excluded analytically, and the
+    # verdict reads it as diverging there
+    excluded = analytic is not None and not definitive
     pair = (_transience(y), _recurrence(w0, cfg.c))
-    run = dict(n_max=cfg.n_max, reps=cfg.reps, stream=stream.child(0),
-               thresholds=cfg.thresholds, threads=cfg.threads)
+    diags = _series(m, pair if excluded else (_TAIL,) + pair, n_max=cfg.n_max,
+                    reps=cfg.reps, stream=stream.child(0), thresholds=cfg.thresholds,
+                    threads=cfg.threads)
+    trans, rec = diags[-2:]
+    tail = SeriesVerdict.DIVERGES if excluded else diags[0].verdict
+    verdict = _combine_mc(tail, trans.verdict, rec.verdict)
 
     if definitive:
-        diags = _series(m, (_TAIL,) + pair, **run)
-        mc = _combine_mc(*(d.verdict for d in diags))
         notes = analytic.notes
-        if mc is not analytic.verdict:
+        if verdict is not analytic.verdict:
             notes += ("; series diagnostics read {} (numerical evidence "
-                      "only; analytic verdict kept)".format(mc.value))
+                      "only; analytic verdict kept)".format(verdict.value))
         return ClassificationReport(verdict=analytic.verdict, source=Source.BOTH,
                                     diagnostics=diags, notes=notes)
-
-    if analytic is not None:
-        # positive recurrence excluded analytically, as by a diverging tail series
-        diags = _series(m, pair, **run)
-        verdict = _combine_mc(SeriesVerdict.DIVERGES, *(d.verdict for d in diags))
+    if excluded:
         return ClassificationReport(verdict=verdict, source=Source.BOTH, diagnostics=diags,
                                     notes=analytic.notes + "; " + _SEPARATED[verdict])
-
-    diags = _series(m, (_TAIL,) + pair, **run)
-    tail, trans, rec = diags
-    verdict = _combine_mc(tail.verdict, trans.verdict, rec.verdict)
     if verdict is Verdict.POSITIVE_RECURRENT:  # the tail series alone settles it
         return ClassificationReport(
-            verdict=verdict, source=Source.MONTE_CARLO, diagnostics=[tail],
+            verdict=verdict, source=Source.MONTE_CARLO, diagnostics=diags[:1],
             notes="tail series converges on a {:.0%} vote (numerical "
-                  "evidence)".format(tail.votes_converge))
+                  "evidence)".format(diags[0].votes_converge))
     notes = ("tail series {}; transience series {}; recurrence series {} "
-             "(numerical evidence)").format(
-        tail.verdict.value, trans.verdict.value, rec.verdict.value)
+             "(numerical evidence)").format(tail.value, trans.verdict.value, rec.verdict.value)
     return ClassificationReport(verdict=verdict, source=Source.MONTE_CARLO,
                                 diagnostics=diags, notes=notes)
 
@@ -512,18 +493,6 @@ _SEPARATED = {
 # ------------------------------------------------- drift classification
 
 
-def _prob_breaks(d: Distribution) -> list:
-    """Probability-space breakpoints where the quantile function kinks or
-    jumps; quadrature hints only."""
-    out = set()
-    if isinstance(d, DiscreteUniform):
-        n = len(d.values)
-        out.update(k / n for k in range(1, n))
-    elif isinstance(d, TruncatedParetoOne):
-        out.add(1.0 - d.d1 / d.x0)
-    return sorted(p for p in out if 0.0 < p < 1.0)
-
-
 def _j_value(num: Distribution, den: Distribution) -> float:
     """E[ A / m(A) ] with A ~ num and m the truncated mean of den,
     integrated in probability space so atoms come out exact.  The integral
@@ -540,7 +509,7 @@ def _j_value(num: Distribution, den: Distribution) -> float:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, err = integrate.quad(integrand, 0.0, 1.0,
-                                  points=_prob_breaks(num) or None,
+                                  points=num.quantile_breaks() or None,
                                   limit=400, epsabs=0.0, epsrel=_QUAD_TOL)
     if not math.isfinite(val) or err > 1e-6 * max(abs(val), 1.0):
         raise QuadratureError(
@@ -592,27 +561,14 @@ def erickson(m: ModelSpec) -> EricksonReport:
             "the increment s - t must put mass on both signs; the supports "
             f"service {s.support()} / inter-arrival {t.support()} do not allow it")
 
+    fp, fm = _j_finite(s, t), _j_finite(t, s)
+    j_plus = _j_value(s, t) if fp else math.inf
+    j_minus = _j_value(t, s) if fm else math.inf
     ms, mt = s.mean(), t.mean()
-    if math.isfinite(ms) and math.isfinite(mt):
-        j_plus = _j_value(s, t)
-        j_minus = _j_value(t, s)
-        if ms < mt:
-            wv = WalkVerdict.DRIFT_MINUS
-        elif ms > mt:
-            wv = WalkVerdict.DRIFT_PLUS
-        else:
-            wv = WalkVerdict.OSCILLATES
-    else:
-        fp = _j_finite(s, t)
-        fm = _j_finite(t, s)
-        j_plus = _j_value(s, t) if fp else math.inf
-        j_minus = _j_value(t, s) if fm else math.inf
-        if fp:
-            wv = WalkVerdict.DRIFT_MINUS
-        elif fm:
-            wv = WalkVerdict.DRIFT_PLUS
-        else:
-            wv = WalkVerdict.OSCILLATES
+    if math.isfinite(ms) and math.isfinite(mt):  # both integrals finite: the strong law
+        fp, fm = ms < mt, ms > mt
+    wv = (WalkVerdict.DRIFT_MINUS if fp else WalkVerdict.DRIFT_PLUS if fm
+          else WalkVerdict.OSCILLATES)
     if math.isfinite(j_plus):
         en = (max(j_plus - 1.0, 0.0), 2.0 * j_plus - 1.0)
     else:

@@ -133,12 +133,17 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class TailClass:
-    """Coarse decay class of an upper tail, used for symbolic finiteness
-    decisions.  kind is 'bounded', 'light' (faster than any power), or
-    'regvar' with index ``alpha`` (tail ~ x**-alpha)."""
+    """Decay class of an upper tail, used for symbolic finiteness decisions
+    and tail predictions.  kind is 'bounded', 'light' (faster than any
+    power), or 'regvar' with index ``alpha`` (tail ~ x**-alpha).  A law whose
+    tail is exactly a power or an exponential above its infimum says so:
+    ``scale`` when the tail there is (x / scale)**-alpha, ``rate`` when it
+    is exp(-rate * x).  Mixtures and bounded laws give neither."""
 
     kind: str
     alpha: Optional[float] = None
+    scale: Optional[float] = None
+    rate: Optional[float] = None
 
 
 # 2**1024 - 2**975, 16 ulps of the top binade below 2**1024
@@ -227,6 +232,11 @@ class Distribution(ABC):
     def tail_class(self) -> TailClass:
         ...
 
+    def quantile_breaks(self) -> list:
+        """The p in (0, 1), ascending, where the quantile function kinks or
+        jumps; quadrature hints only."""
+        return []
+
     def laplace(self, mu: float) -> float:
         """E[exp(-mu Y)] for mu > 0.  Closed form where available,
         otherwise adaptive quadrature in quantile space."""
@@ -308,7 +318,7 @@ class Exponential(Distribution, kind="exponential"):
         return (0.0, math.inf)
 
     def tail_class(self):
-        return TailClass("light")
+        return TailClass("light", rate=self.rate)
 
     def _laplace(self, mu: float) -> float:
         return self.rate / (self.rate + mu)
@@ -408,7 +418,7 @@ class Pareto(Distribution, kind="pareto"):
         return (self.scale, math.inf)
 
     def tail_class(self):
-        return TailClass("regvar", self.alpha)
+        return TailClass("regvar", self.alpha, scale=self.scale)
 
 
 
@@ -452,7 +462,11 @@ class TruncatedParetoOne(Distribution, kind="truncated_pareto_one"):
         return (self.x0, math.inf)
 
     def tail_class(self):
-        return TailClass("regvar", 1.0)
+        return TailClass("regvar", 1.0, scale=self.d1)
+
+    def quantile_breaks(self):
+        p_atom = 1.0 - self.d1 / self.x0  # the atom at x0 ends here
+        return [p_atom] if 0.0 < p_atom < 1.0 else []
 
 
 
@@ -554,6 +568,10 @@ class DiscreteUniform(Distribution, kind="discrete_uniform"):
 
     def tail_class(self):
         return TailClass("bounded")
+
+    def quantile_breaks(self):
+        n = len(self.values)
+        return [k / n for k in range(1, n)]
 
     def _laplace(self, mu: float) -> float:
         return float(np.mean(np.exp(-mu * self._arr())))

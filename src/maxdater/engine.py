@@ -141,6 +141,12 @@ def _unique(a: np.ndarray) -> np.ndarray:
     return a[np.concatenate(([True], a[1:] != a[:-1]))]
 
 
+def _int_grid(lo: int, hi: int, points: int) -> np.ndarray:
+    """The distinct integers nearest to ``points`` geometric steps from lo
+    to hi."""
+    return _unique(np.round(np.geomspace(lo, hi, points)).astype(np.int64))
+
+
 def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple:
     """(slope, intercept) of the least-squares line through (x, y), from centred
     sums: numpy's least-squares fits call LAPACK, about 1 MB a process."""

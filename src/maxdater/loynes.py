@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .dists import Exponential
-from .engine import _BLOCK_ELEMS, ModelSpec, _block, _epochs, _fit_line, _passing_steps, _unique
+from .engine import _BLOCK_ELEMS, ModelSpec, _block, _epochs, _fit_line, _int_grid, _passing_steps
 from .streams import _Numpy, Stream, run_chunked
 
 np = _Numpy(globals())
@@ -101,8 +101,7 @@ class StationaryWindow:
 
 
 def _residual_grid(horizon: int) -> np.ndarray:
-    lo = max(1, horizon // 2)
-    return _unique(np.round(np.geomspace(lo, horizon, 12)).astype(np.int64))
+    return _int_grid(max(1, horizon // 2), horizon, 12)
 
 
 def _fit_residual(grid: np.ndarray, means: np.ndarray, horizon: int) -> float:
@@ -127,17 +126,18 @@ def _fit_residual(grid: np.ndarray, means: np.ndarray, horizon: int) -> float:
 
 
 def _backward(m: ModelSpec, rows: int, stream: Stream, horizon: float, *,
-              s_up: float = math.inf, block: Optional[int] = None,
-              grid: Optional[np.ndarray] = None):
-    """Running maxima of st_j - Tt_{j-1}, floored at 0, for ``rows`` paths
-    over at most ``horizon`` reversed drivers in (rows, block) pieces.
+              block: Optional[int] = None, grid: Optional[np.ndarray] = None):
+    """Running maxima of st_j - Tt_{j-1}, floored at 0, and each path's last
+    record (1-based, 0 for none), for ``rows`` paths over at most
+    ``horizon`` reversed drivers in (rows, block) pieces.
 
-    A path stops once its clock Tt passes ``s_up`` (no later term can win);
-    an infinite horizon runs until all have, within a bound worked out up
-    front.  Pieces are ``block`` wide, drawn whole past the horizon so that
-    the draws do not depend on it, or by default hold up to ``_BLOCK_ELEMS``
-    draws with the last cut to the horizon.  Given a ``grid``, also tracks
-    each path's last record (1-based) and the sums of service tails at Tt_j.
+    A path stops once its clock Tt passes the service law's largest draw (no
+    later term can win); an infinite horizon runs until all have, within a
+    bound worked out up front.  Given a ``grid``, paths run on to the
+    horizon and the scan also sums the service tails at Tt_j for each grid
+    point j.  Pieces are ``block`` wide, drawn whole past the horizon so
+    that the draws do not depend on it, or by default hold up to
+    ``_BLOCK_ELEMS`` draws with the last cut to the horizon.
 
     Each piece draws its inter-arrival times and epochs over its whole
     width, then a service piece that ends at the first column where every
@@ -153,12 +153,13 @@ def _backward(m: ModelSpec, rows: int, stream: Stream, horizon: float, *,
     before it.  So one ``argmax`` per row gives the same records as
     comparing each term with the running maximum.
     """
+    s_top = m.service.largest_draw()
+    level = s_top if grid is None else math.inf  # where a path stops
     absorb = math.isinf(horizon)
     if absorb:
-        horizon, median = _passing_steps(m, s_up, rows, "the absorbing scan",
+        horizon, median = _passing_steps(m, level, rows, "the absorbing scan",
                                          "the largest service draw")
     tail_sums = np.zeros(0 if grid is None else len(grid))
-    s_top = m.service.largest_draw()
     # the running rows' state, compacted when rows stop
     ids, best, offset = np.arange(rows), np.zeros(rows), np.zeros(rows)
     last_rec = np.zeros(rows, dtype=np.int64)
@@ -175,27 +176,24 @@ def _backward(m: ModelSpec, rows: int, stream: Stream, horizon: float, *,
             terms = m.service.sample(stream, (len(ids), width))[:, :use]
             terms[:, 0] -= offset  # st_j - Tt_{j-1}, built in the service piece
             np.subtract(terms[:, 1:], cum[:, :terms.shape[1] - 1], out=terms[:, 1:])
-            if grid is None:
-                best = np.maximum(best, terms.max(axis=1))
-            else:
-                col = np.argmax(terms, axis=1)
-                top = terms[np.arange(len(ids)), col]
-                last_rec = np.where(top > best, j0 + 1 + col, last_rec)
-                best = np.maximum(top, best)
+            col = np.argmax(terms, axis=1)
+            top = terms[np.arange(len(ids)), col]
+            last_rec = np.where(top > best, j0 + 1 + col, last_rec)
+            best = np.maximum(top, best)
         if grid is not None:
             for gi in np.nonzero((grid > j0) & (grid <= j0 + use))[0]:
                 tail_sums[gi] += float(np.sum(m.service.tail(cum[:, grid[gi] - j0 - 1])))
         offset = cum[:, use - 1].copy()  # a view would keep the piece alive
         cum = terms = None  # free both pieces before the next is drawn
         j0 += use
-        stop = offset >= s_up
+        stop = offset >= level
         if stop.any():
             done.append((ids[stop], best[stop], last_rec[stop]))
             ids, best, offset, last_rec = (a[~stop] for a in (ids, best, offset, last_rec))
     if absorb and len(ids):
         raise RuntimeError(
             f"{len(ids)} of {rows} reversed clocks stayed below the largest "
-            f"service draw {s_up} for {horizon} steps: the inter-arrival law draws "
+            f"service draw {s_top} for {horizon} steps: the inter-arrival law draws "
             f"below its median {median} more often than half the time")
     if done:  # back to row order
         done.append((ids, best, last_rec))
@@ -212,9 +210,8 @@ def _exact_route(m: ModelSpec, rows: int, horizon: int) -> bool:
     inter-arrival median."""
     if math.isfinite(m.service.support()[1]):
         return True
-    s_up = m.service.largest_draw()
     try:
-        steps, _ = _passing_steps(m, s_up, rows, "the absorbing scan",
+        steps, _ = _passing_steps(m, m.service.largest_draw(), rows, "the absorbing scan",
                                   "the largest service draw")
     except ValueError:
         return False
@@ -248,7 +245,6 @@ def stationary_batch(
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if _exact_route(m, reps, horizon):
-        s_up = m.service.largest_draw()  # no term past it is a record
         if isinstance(m.interarrival, Exponential) and math.isfinite(m.service.mean()):
             # Poisson arrivals: the newest service against the closed-form
             # M/G/inf maximum of all older terms
@@ -257,8 +253,7 @@ def stationary_batch(
                 m.service.sample(st, count), m.service.sample_poisson_max(st, count, rate))
         else:
             # absorbing paths mostly stop within a few draws: narrow pieces
-            worker = lambda st, start, count: _backward(
-                m, count, st, math.inf, s_up=s_up, block=64)[0]
+            worker = lambda st, start, count: _backward(m, count, st, math.inf, block=64)[0]
         parts = run_chunked(worker, reps, stream, threads=threads)
         return StationaryBatch(values=np.concatenate(parts), residual_bound=0.0,
                                horizon=horizon, reps=reps, exact=True)
@@ -300,8 +295,7 @@ def stationary_sample(
     """
     residual = 0.0 if _exact_route(m, _PILOT, horizon) else (
         stationary_batch(m, horizon, _PILOT, stream.child(0)).residual_bound)
-    best, _, _ = _backward(m, 1, stream.child(1), horizon, s_up=m.service.largest_draw(),
-                           block=_BLOCK_ELEMS >> 8)
+    best, _, _ = _backward(m, 1, stream.child(1), horizon, block=_BLOCK_ELEMS >> 8)
     return float(best[0]), float(residual)
 
 

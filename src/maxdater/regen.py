@@ -127,6 +127,13 @@ def phi_sample(m: ModelSpec, params: RegenParams, stream: Stream) -> float:
     return float(_phi_batch(m, params, 1, stream)[0])
 
 
+def _regenerated(x: np.ndarray, epochs: np.ndarray, w0: float) -> np.ndarray:
+    """Whether each window regenerates, from the workloads ``x`` and the
+    arrival epochs at the window bounds along the last axis: the workload at
+    the window start is at most w0 and the window's arrival gap exceeds w0."""
+    return (x[..., :-1] <= w0) & (np.diff(epochs, axis=-1) > w0)
+
+
 def detect(path: PathSample, params: RegenParams) -> RegenTrace:
     """Scan a simulated path for regeneration times.
 
@@ -135,23 +142,16 @@ def detect(path: PathSample, params: RegenParams) -> RegenTrace:
     w0; the k = 1 window conditions on X_0 itself.  A path shorter than
     one window yields an empty trace.
     """
-    m0, w0 = params.m0, params.w0
-    n = len(path.x) - 1
-    k_max = n // m0
-    if k_max < 1:
-        empty = np.array([], dtype=np.int64)
-        return RegenTrace(taus=empty, r=np.array([], dtype=bool))
-    ends = np.arange(1, k_max + 1, dtype=np.int64) * m0
-    starts = ends - m0
-    r = (path.x[starts] <= w0) & ((path.arrivals[ends] - path.arrivals[starts]) > w0)
-    return RegenTrace(taus=ends[r], r=r)
+    bounds = np.arange(0, len(path.x), params.m0, dtype=np.int64)
+    r = _regenerated(path.x[bounds], path.arrivals[bounds], params.w0)
+    return RegenTrace(taus=bounds[1:][r], r=r)
 
 
 def _renewal_chunk(m: ModelSpec, params: RegenParams, horizon: int,
                    count: int, stream: Stream):
     """Regeneration indicators of ``count`` phi-started paths per window,
-    from the workloads and arrival epochs at window ends, as in ``detect``."""
-    m0, w0 = params.m0, params.w0
+    from the workloads and arrival epochs at window ends."""
+    m0 = params.m0
     x0 = _phi_batch(m, params, count, stream)
     xs, epochs, k = [x0[:, None]], [np.zeros((count, 1))], 0
     for x, arrivals in _forward(m, x0, (horizon // m0) * m0, stream):
@@ -159,8 +159,8 @@ def _renewal_chunk(m: ModelSpec, params: RegenParams, horizon: int,
         xs.append(x[:, first::m0])
         epochs.append(arrivals[:, first::m0])
         k += x.shape[1]
-    gaps = np.diff(np.concatenate(epochs, axis=1), axis=1)
-    return (np.concatenate(xs, axis=1)[:, :-1] <= w0) & (gaps > w0)
+    return _regenerated(np.concatenate(xs, axis=1), np.concatenate(epochs, axis=1),
+                        params.w0)
 
 
 def renewal_tests(m: ModelSpec, params: RegenParams, reps: int, horizon: int,

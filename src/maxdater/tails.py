@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Optional
 
 from .classify import ClassificationReport, Verdict, classify
-from .dists import Distribution, Exponential, Pareto
+from .dists import Distribution
 from .engine import ModelSpec, _quantiles, _unique
 from .loynes import stationary_batch
 from .streams import _Numpy, Stream
@@ -96,22 +96,19 @@ def pareto_tail_prediction(mean_t: float, delta: float, alpha: float, x):
 
 
 def detect_regime(m: ModelSpec):
-    """Match the service law to a prediction family.
+    """Match the service law to a prediction family by its tail class.
 
-    Exponential(rate) has tail exactly e^(-rate*x), so delta = 1 and
-    mu = rate; Pareto(alpha > 1, scale) has tail (x/scale)^(-alpha), so
-    delta = scale**alpha (the heavy regime also needs a finite mean
-    inter-arrival).  Anything else gets no prediction.
+    A tail exactly e^(-rate*x) gives delta = 1 and mu = rate; a tail
+    exactly (x/scale)^(-alpha), alpha > 1, gives delta = scale**alpha (the
+    heavy regime also needs a finite mean inter-arrival, and a delta that
+    is a finite normal double).  Anything else gets no prediction.
     """
-    s = m.service
-    if isinstance(s, Exponential):
-        return Regime.EXP, {"delta": 1.0, "mu": s.rate}
-    if isinstance(s, Pareto) and s.alpha > 1.0 and math.isfinite(m.interarrival.mean()):
-        return Regime.PARETO, {
-            "delta": s.scale ** s.alpha,
-            "alpha": s.alpha,
-            "mean_t": float(m.interarrival.mean()),
-        }
+    tail = m.service.tail_class()
+    if tail.rate is not None:
+        return Regime.EXP, {"delta": 1.0, "mu": tail.rate}
+    if tail.scale is not None and tail.alpha > 1.0 and math.isfinite(m.interarrival.mean()):
+        return Regime.PARETO, {"delta": tail.scale ** tail.alpha, "alpha": tail.alpha,
+                               "mean_t": float(m.interarrival.mean())}
     return Regime.NOT_APPLICABLE, {}
 
 

@@ -259,8 +259,8 @@ def test_unique_of_integer_grids_is_numpys(steps):
 @st.composite
 def _geometric_grids(draw):
     """Rounded geometric integer grids of 2 to 200 points, as the slope test
-    fits over a decade of ``classify._log_grid`` and the residual fit over
-    the back half of a horizon (``loynes._residual_grid``).  Grids start at
+    fits over a decade of the series grid and the residual fit over the
+    back half of a horizon (both ``engine._int_grid``).  Grids start at
     most at 10**4, the last decade of the default n_max: numpy's own
     rounding error grows with log(lo) over the grid's log span, and at lo
     near 10**6 with span 2 it comes within 0.9 of the tolerance below."""

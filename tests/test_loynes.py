@@ -329,7 +329,7 @@ def test_backward_kernel_whole_blocks_stop_at_supremum(horizon, seed):
     # one path in whole 16-wide blocks stops once its clock passes the
     # service supremum 2; the draws it used give the oracle's value
     m = ModelSpec(Exponential(1.0), Uniform(0.0, 2.0))
-    (best, _, _), t, s, _ = _recorded_backward(m, 1, seed, horizon, s_up=2.0, block=16)
+    (best, _, _), t, s, _ = _recorded_backward(m, 1, seed, horizon, block=16)
     assert t.shape[1] % 16 == 0
     used = min(horizon, t.shape[1])
     assert used == horizon or np.sum(t[0, :used]) >= 2.0 - 1e-12
@@ -413,9 +413,8 @@ def test_light_tail_batch_matches_the_closed_form():
 def test_absorbing_scan_matches_the_closed_form():
     # the scan itself, which Poisson arrivals no longer reach through
     # stationary_batch, chunked as the batch ran it
-    s_up = EXP_EXP.service.largest_draw()
     parts = run_chunked(lambda st, start, count: _backward(
-        EXP_EXP, count, st, math.inf, s_up=s_up, block=64)[0], 100_000, Stream.from_seed(40))
+        EXP_EXP, count, st, math.inf, block=64)[0], 100_000, Stream.from_seed(40))
     cdf = lambda x: (1.0 - np.exp(-x)) * np.exp(-np.exp(-x))
     assert stats.kstest(np.concatenate(parts), cdf).pvalue > 0.01
 
@@ -483,8 +482,8 @@ def test_poisson_route_thread_count_invariance(name):
               Mixture(((0.5, Exponential(3.0)), (0.5, Exponential(1.0))))),
 ], ids=["unif_exp", "det_exp", "exp_mixexp"])
 def test_light_tail_batch_matches_the_horizon_scan(m):
-    # the absorbing route against the plain horizon-1,000 scan, which draws
-    # every term to the horizon and never stops a row
+    # the absorbing route against the plain horizon-1,000 scan, which stops
+    # a row at the largest service draw or at the horizon
     reps = 20_000
     batch = stationary_batch(m, 1000, reps, Stream.from_seed(41))
     assert batch.exact and _passing_bound(m, reps) <= 1000
@@ -525,8 +524,7 @@ def test_route_needs_a_positive_median():
 
 
 def _single_construction(m, horizon, stream):
-    return _backward(m, 1, stream, horizon, s_up=m.service.largest_draw(),
-                     block=_BLOCK_ELEMS >> 8)[0][0]
+    return _backward(m, 1, stream, horizon, block=_BLOCK_ELEMS >> 8)[0][0]
 
 
 @pytest.mark.parametrize("m", [m for _, m in model_catalogue()],
