@@ -2,8 +2,13 @@
 
 Each law carries exact closed forms for the cdf, the upper tail (computed
 directly, not as 1 - cdf, so extreme tails keep full precision), the
-left-continuous generalized inverse cdf, the mean (``math.inf`` when the
-first moment diverges), and the truncated mean E[min(Y, x)].  Every law but
+generalized inverse cdf inf{x : cdf(x) >= p}, the mean (``math.inf`` when
+the first moment diverges), and the truncated mean E[min(Y, x)].  The
+closed-form inverses are those formulas in floating point, within a few
+ulps of the exact inverse (``Exponential`` 2, ``TruncatedParetoOne`` 2,
+``Pareto`` 7 (1 + |ln(1 - p)| / alpha), since -1/alpha rounds before the
+power), not the least double q whose float cdf reaches p: near p = 1 the
+float cdf saturates.  Every law but
 ``Mixture`` samples by quantile inversion of a strict (0, 1) uniform, which
 keeps its sampler exact, reproducible, and monotone in the underlying
 uniform.  A ``Mixture`` samples by composition (Devroye 1986, *Non-Uniform
@@ -374,8 +379,11 @@ class Pareto(Distribution, kind="pareto"):
         _refuse_overflow(power, self.scale * power)
 
     def _cdf(self, x):
-        z = np.maximum(x, self.scale) / self.scale
-        return np.where(x < self.scale, 0.0, 1.0 - z ** (-self.alpha))
+        # 1 - z**-alpha through expm1 and log1p: the subtraction would
+        # cancel the leading digits just above the scale
+        z = np.maximum(x, self.scale)
+        return np.where(x < self.scale, 0.0,
+                        -np.expm1(-self.alpha * np.log1p((z - self.scale) / self.scale)))
 
     def _tail(self, x):
         z = np.maximum(x, self.scale) / self.scale
@@ -400,10 +408,10 @@ class Pareto(Distribution, kind="pareto"):
         z = np.maximum(x, self.scale)
         if self.alpha == 1.0:
             above = self.scale * (1.0 + np.log(z / self.scale))
-        else:
-            above = self.scale + (self.scale ** self.alpha) * (
-                z ** (1.0 - self.alpha) - self.scale ** (1.0 - self.alpha)
-            ) / (1.0 - self.alpha)
+        else:  # in logs: scale**alpha and z / scale overflow at extreme scales
+            a1 = 1.0 - self.alpha
+            above = self.scale + self.scale * np.expm1(
+                a1 * (np.log(z) - np.log(self.scale))) / a1
         return np.where(x <= self.scale, np.minimum(x, self.scale), above)
 
     def _excess_quantile(self, y):
@@ -439,8 +447,9 @@ class TruncatedParetoOne(Distribution, kind="truncated_pareto_one"):
         _refuse_overflow(self.d1 / (1.0 - _TOP_UNIFORM))  # np.where runs both branches
 
     def _cdf(self, x):
+        # 1 - d1 / z as Pareto's, alpha = 1 and scale = d1 <= z
         z = np.maximum(x, self.x0)
-        return np.where(x < self.x0, 0.0, 1.0 - np.minimum(1.0, self.d1 / z))
+        return np.where(x < self.x0, 0.0, -np.expm1(-np.log1p((z - self.d1) / self.d1)))
 
     def _tail(self, x):
         z = np.maximum(x, self.x0)

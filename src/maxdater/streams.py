@@ -96,8 +96,8 @@ class Stream:
             self._gen = np.random.Generator(np.random.Philox(seq))
         return self._gen
 
-    def uniform_open(self, size=None):
-        """Uniform draws strictly inside (0, 1).
+    def uniform_open(self, size):
+        """An array of uniform draws strictly inside (0, 1), of shape ``size``.
 
         Returns (k + 1/2) / 2**53 rounded to double, k the top 53 bits of one
         Philox word: ``Generator.random`` gives k / 2**53 exactly, and adding
@@ -106,8 +106,6 @@ class Stream:
         the largest double below 1, so quantile inversion never sees 0.0 or
         1.0.  The caller owns an array of draws.
         """
-        if size is None:
-            return np.minimum(self.gen.random() + _INV54, _TOP_UNIFORM)
         u = self.gen.random(size)
         u += _INV54
         return np.minimum(u, _TOP_UNIFORM, out=u)

@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _WILSON_Z = 2.5758293035489004  # 99% two-sided: scipy.stats.norm.ppf(0.995)
+_TINY = 2.0 ** -1022  # the least normal double
 
 
 class Regime(Enum):
@@ -107,8 +108,13 @@ def detect_regime(m: ModelSpec):
     if tail.rate is not None:
         return Regime.EXP, {"delta": 1.0, "mu": tail.rate}
     if tail.scale is not None and tail.alpha > 1.0 and math.isfinite(m.interarrival.mean()):
-        return Regime.PARETO, {"delta": tail.scale ** tail.alpha, "alpha": tail.alpha,
-                               "mean_t": float(m.interarrival.mean())}
+        try:
+            delta = tail.scale ** tail.alpha
+        except OverflowError:
+            delta = math.inf
+        if _TINY <= delta < math.inf:
+            return Regime.PARETO, {"delta": delta, "alpha": tail.alpha,
+                                   "mean_t": float(m.interarrival.mean())}
     return Regime.NOT_APPLICABLE, {}
 
 

@@ -6,10 +6,12 @@ integration instead of quantile-space, exhaustive enumeration instead of
 sampling.  Tests compare the fast implementations against these.
 """
 
+import decimal
 import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 from scipy import integrate, stats
@@ -138,6 +140,56 @@ def generalized_inverse_oracle(d, p):
         else:
             lo = mid
     raise AssertionError("bit bisection did not close in 64 steps")
+
+
+# ------------------------------------------------- 40-digit closed forms
+#
+# The cdf and quantile of the laws with closed-form inverses, in decimal
+# arithmetic at 40 significant digits from the exact values of the double
+# arguments: far past double precision, so the float kernels can be held to
+# a stated number of ulps.
+
+
+def decimal_cdf(d, x):
+    """P(Y <= x) for a Pareto or TruncatedParetoOne law and x at or above
+    its infimum, as a 40-digit Decimal."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        x = Decimal(x)
+        if isinstance(d, Pareto):
+            return 1 - (x / Decimal(d.scale)) ** -Decimal(d.alpha)
+        return 1 - Decimal(d.d1) / x
+
+
+def decimal_pareto_truncated_mean(d, x):
+    """E[min(Y, x)] for a Pareto law of index other than 1 and x at or
+    above its scale, as a 40-digit Decimal."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        s, a1 = Decimal(d.scale), 1 - Decimal(d.alpha)
+        return s + s * ((Decimal(x) / s) ** a1 - 1) / a1
+
+
+def decimal_quantile(d, p):
+    """inf{x : P(Y <= x) >= p} for an Exponential, Pareto or
+    TruncatedParetoOne law and p in (0, 1), as a 40-digit Decimal."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1100  # 1 - p exactly, for p down to the least double
+        q = 1 - Decimal(p)
+        ctx.prec = 40
+        if isinstance(d, Exponential):
+            return -q.ln() / Decimal(d.rate)
+        if isinstance(d, Pareto):
+            return Decimal(d.scale) * q ** (-1 / Decimal(d.alpha))
+        if q >= Decimal(d.d1) / Decimal(d.x0):  # in the atom at x0
+            return Decimal(d.x0)
+        return Decimal(d.d1) / q
+
+
+def ulps_from(got, want):
+    """|got - want| in units in the last place of the double nearest to
+    the Decimal ``want``."""
+    return float(abs(Decimal(got) - want) / Decimal(math.ulp(float(want))))
 
 
 def wilson_interval(k, n, conf=0.99):

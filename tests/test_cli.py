@@ -536,6 +536,22 @@ def test_regen_and_compare_commands_run(tmp_path, capsys):
     assert "same phase" in report["result"]["commentary"]
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_pareto_closed_forms_at_extreme_scales_exit_cleanly(tmp_path, capsys, scale):
+    # scale**alpha or scale**(1 - alpha) is past the doubles at these scales:
+    # compare still reports finite integrals, and tails gives no prediction
+    # where delta = scale**alpha is not a finite normal double
+    model = {"interarrival": {"kind": "exponential", "rate": 1.0},
+             "service": {"kind": "pareto", "alpha": 3.0, "scale": scale}}
+    cfg = write_config(tmp_path, {"model": model, "tails": {"samples": 2000, "horizon": 50}})
+    assert run(["compare", "--config", cfg]) == 0
+    single = json.loads(capsys.readouterr().out)["result"]["single_server"]
+    assert all(math.isfinite(v) for v in [single["j_plus"], single["j_minus"], *single["en_s1"]])
+    assert run(["tails", "--config", cfg]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["regime"], result["predicted"], result["ratio"]) == ("not_applicable", None, None)
+
+
 def _src_env():
     """The environment with this package's source first on PYTHONPATH, for
     tests that start a fresh interpreter."""

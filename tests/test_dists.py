@@ -5,6 +5,7 @@ import math
 import re
 import warnings
 from dataclasses import fields
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -25,11 +26,15 @@ from maxdater.dists import (
 
 from support import (
     _density_pieces,
+    decimal_cdf,
+    decimal_pareto_truncated_mean,
+    decimal_quantile,
     excess_mean_oracle,
     generalized_inverse_oracle,
     integrate_against,
     model_catalogue,
     truncated_mean_oracle,
+    ulps_from,
 )
 from test_streams import _fixed_stream, _top_stream  # every uniform is one value
 
@@ -258,6 +263,114 @@ def test_tail_classes():
     mixed = Mixture(((0.5, Exponential(1.0)), (0.5, Pareto(0.8, 1.0))))
     tc = mixed.tail_class()
     assert (tc.kind, tc.alpha) == ("regvar", 0.8)
+
+
+@pytest.mark.parametrize("d", CATALOGUE, ids=lambda d: type(d).__name__ + repr(d)[:30])
+def test_tail_class_states_only_exact_tails(d):
+    # above the infimum the tail is bitwise exp(-rate x) for a law with a
+    # rate and (x / scale)**-alpha for one with a scale (scale / x at alpha
+    # 1); mixtures and bounded laws state neither
+    tc = d.tail_class()
+    x = d.support()[0] + np.array([1e-9, 0.5, 1.0, 7.5, 40.0, 1e3, 1e30])
+    if isinstance(d, Exponential):
+        assert (tc.rate, tc.scale) == (d.rate, None)
+        want = np.exp(-tc.rate * x)
+    elif isinstance(d, (Pareto, TruncatedParetoOne)):
+        assert tc.rate is None and tc.scale == getattr(d, "scale", getattr(d, "d1", None))
+        want = tc.scale / x if isinstance(d, TruncatedParetoOne) else (x / tc.scale) ** -tc.alpha
+    else:
+        assert (tc.rate, tc.scale) == (None, None)
+        return
+    assert np.array_equal(d.tail(x).view(np.int64), want.view(np.int64))
+
+
+def _breaks_by_class(d):
+    """Quadrature breaks by law class: the steps k/n of a DiscreteUniform's
+    quantile and the end of a TruncatedParetoOne's atom, where in (0, 1)."""
+    out = set()
+    if isinstance(d, DiscreteUniform):
+        n = len(d.values)
+        out.update(k / n for k in range(1, n))
+    elif isinstance(d, TruncatedParetoOne):
+        out.add(1.0 - d.d1 / d.x0)
+    return sorted(p for p in out if 0.0 < p < 1.0)
+
+
+@pytest.mark.parametrize("d", CATALOGUE + [
+    DiscreteUniform((4.0,)), DiscreteUniform((3.0, 1.0, 2.0, 2.0, 5.0, 9.0, 0.5)),
+    TruncatedParetoOne(1.0, 1.0 + 2.0 ** -52), TruncatedParetoOne(1e-300, 1e300)],
+    ids=lambda d: type(d).__name__ + repr(d)[:30])
+def test_quantile_breaks_are_the_class_rule(d):
+    assert d.quantile_breaks() == _breaks_by_class(d)
+
+
+_POWER_LAWS = st.one_of(
+    st.builds(Pareto, st.floats(0.06, 50.0), st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)),
+    st.builds(lambda d1, over: TruncatedParetoOne(d1, d1 * over),
+              st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+              st.just(1.0) | st.floats(1.0, 4.0)))
+
+
+@given(d=_POWER_LAWS, k=st.floats(-15.0, 3.0))
+@example(d=Pareto(1.5, 1.0), k=-15.0)
+@example(d=Pareto(40.0, 1e-3), k=-15.0)
+@example(d=Pareto(0.8, 2.0), k=-15.0)
+@example(d=TruncatedParetoOne(1.0, 1.0), k=-15.0)
+@settings(max_examples=500, deadline=None)
+def test_power_law_cdf_keeps_its_digits_above_the_infimum(d, k):
+    # 1 - z**-alpha cancels just above the infimum; the expm1/log1p form
+    # stays within 4e-16 of the 40-digit value there and beyond
+    lo = d.support()[0]
+    x = lo * (1.0 + 10.0 ** k)
+    assume(x > lo)
+    want = decimal_cdf(d, x)
+    assert abs(Decimal(d.cdf(x)) - want) <= Decimal("4e-16") * want
+
+
+@given(alpha=st.floats(0.06, 20.0).filter(lambda a: a != 1.0),
+       log_scale=st.floats(-300.0, 300.0), log_ratio=st.floats(-15.0, 600.0))
+@example(alpha=3.0, log_scale=200.0, log_ratio=2.0)
+@example(alpha=3.0, log_scale=-200.0, log_ratio=202.0)
+@example(alpha=0.5, log_scale=-200.0, log_ratio=310.0)
+@settings(max_examples=500, deadline=None)
+def test_pareto_truncated_mean_at_extreme_scales(alpha, log_scale, log_ratio):
+    # scale**alpha, scale**(1 - alpha) and x / scale each leave the doubles
+    # somewhere in this range; wherever the power (x / scale)**(1 - alpha)
+    # is a double, the truncated mean stays within 1e-12 of the 40-digit
+    # value, with no RuntimeWarning
+    assume(log_scale + 16.0 / alpha < 300.0)  # the law is built
+    d = Pareto(alpha, 10.0 ** log_scale)
+    x = (d.scale * (1.0 + 10.0 ** log_ratio) if log_ratio < 300.0
+         else 10.0 ** min(log_scale + log_ratio, 308.0))
+    assume((1.0 - alpha) * (math.log(x) - math.log(d.scale)) < 709.0)
+    want = decimal_pareto_truncated_mean(d, x)
+    assert abs(Decimal(d.truncated_mean(x)) - want) <= Decimal("1e-12") * want
+
+
+_INVERTING_LAWS = _POWER_LAWS | st.builds(
+    Exponential, st.floats(-5.0, 5.0).map(lambda e: 10.0 ** e))
+
+
+@given(d=_INVERTING_LAWS, p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(d=Exponential(1.0), p=1.0 - 2.0 ** -53)
+@example(d=Pareto(0.074, 1.0), p=1.0 - 2.0 ** -53)
+@example(d=TruncatedParetoOne(1.0, 2.0), p=0.5)
+@settings(max_examples=1000, deadline=None)
+def test_closed_form_quantiles_are_near_the_exact_inverse(d, p):
+    # the float cdf saturates near p = 1, so "least double q with cdf(q) >=
+    # p" cannot be checked against it; the exact inverse at 40 digits can.
+    # log1p and the division round apart: Exponential within 2 ulps.
+    # TruncatedParetoOne divides once: correctly rounded where 1 - p is
+    # exact (p >= 1/2), within 2 ulps where it rounds.
+    # Pareto rounds -1/alpha before the power, which scales that error by
+    # |ln(1 - p)| / alpha: within 7 (1 + |ln(1 - p)| / alpha) ulps.
+    err = ulps_from(d.quantile(p), decimal_quantile(d, p))
+    if isinstance(d, Exponential):
+        assert err <= 2.0
+    elif isinstance(d, TruncatedParetoOne):
+        assert err <= (0.5 if p >= 0.5 else 2.0)
+    else:
+        assert err <= 7.0 * (1.0 + abs(math.log1p(-p)) / d.alpha)
 
 
 def test_integrate_against_oracle_sanity():
@@ -565,7 +678,7 @@ def test_non_mixture_draws_invert_one_piece(d):
     a, b = Stream.from_seed(5, 1), Stream.from_seed(5, 1)
     for size in (None, 7, (2, 300), None):
         got = d.sample(a, size)
-        want = d.quantile(b.uniform_open(size))
+        want = d.quantile(b.uniform_open(size or 1).reshape(np.shape(got)))
         assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
 
 
@@ -578,7 +691,7 @@ def test_exponential_draws_are_its_quantiles(rate):
     a, b = Stream.from_seed(5, 3), Stream.from_seed(5, 3)
     for size in (None, (64, 300), 1000, (3, 1, 7)):
         got = d.sample(a, size)
-        want = d.quantile(b.uniform_open(size))
+        want = d.quantile(b.uniform_open(size or 1).reshape(np.shape(got)))
         assert np.shape(got) == np.shape(want)
         assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
 
@@ -593,7 +706,7 @@ def test_pareto_draws_are_its_quantiles(alpha, scale, seed):
     d = Pareto(alpha, scale)
     for size in (None, (3, 200)):
         got = d.sample(Stream.from_seed(seed, 4), size)
-        want = d._quantile(np.atleast_1d(Stream.from_seed(seed, 4).uniform_open(size)))
+        want = d._quantile(Stream.from_seed(seed, 4).uniform_open(size or 1))
         assert np.array_equal(np.atleast_1d(got).view(np.int64), want.view(np.int64))
 
 

@@ -39,21 +39,19 @@ def test_uniform_open_top_draw_stays_below_one():
     # (2**53 - 1 + 1/2) / 2**53 rounds to 1.0
     top = 1.0 - 2.0 ** -53
     assert np.all(_top_stream().uniform_open(4) == top)
-    assert _top_stream().uniform_open() == top
     assert np.all(np.isfinite(Exponential(1.0).sample(_top_stream(), 4)))
 
 
 def test_uniform_open_top_draw_every_shape():
     top = 1.0 - 2.0 ** -53
-    for size in (None, 1, 4, (2, 3), (3, 1, 2)):
+    for size in (1, 4, (2, 3), (3, 1, 2)):
         u = _top_stream().uniform_open(size)
-        assert np.shape(u) == np.empty(size or ()).shape and np.all(u == top)
+        assert np.shape(u) == np.empty(size).shape and np.all(u == top)
 
 
 def test_uniform_open_is_the_formula_for_every_shape():
-    # the array draws are converted in place, the scalar one is not; both
-    # are (k + 1/2) / 2**53 bit for bit
-    for size in (None, 1, (3, 5), (64, 300)):
+    # the draws are converted in place to (k + 1/2) / 2**53, bit for bit
+    for size in (1, (3, 5), (64, 300)):
         k = Stream.from_seed(7, 4).gen.integers(0, 1 << 53, size=size, dtype=np.int64)
         u = Stream.from_seed(7, 4).uniform_open(size)
         want = (k + 0.5) * 2.0 ** -53
@@ -78,7 +76,7 @@ def _plain(state):
 def test_uniform_open_leaves_the_generator_where_integers_does():
     # one Philox word per draw either way, so every later draw of the
     # stream is unchanged
-    for size in (None, 1, 5, (7, 13), (64, 300)):
+    for size in (1, 5, (7, 13), (64, 300)):
         a, b = Stream.from_seed(7, 5), Stream.from_seed(7, 5)
         a.uniform_open(size)
         b.gen.integers(0, 1 << 53, size=size, dtype=np.int64)
@@ -125,9 +123,6 @@ def test_streams_are_philox_at_their_seed_and_path(seed, p, qs, n):
         nested = nested.child(*part)
     want = _philox_uniform_open(seed, tuple(p + q), n)
     assert np.array_equal(nested.uniform_open(n).view(np.int64), want.view(np.int64))
-    scalar = Stream.from_seed(seed, *p).child(*q).uniform_open()
-    assert type(scalar) is np.float64
-    assert scalar.view(np.int64) == _philox_uniform_open(seed, tuple(p + q)).view(np.int64)
 
 
 def test_chunk_plan_tiles_the_replications():
