@@ -163,6 +163,18 @@ def _refuse_overflow(*steps):
                          " uniform 1 - 2**-53 must stay below 2**1024")
 
 
+def _power_cdf(x, lo, scale, alpha):
+    """1 - (x / scale)**-alpha for x >= lo >= scale, 0 below lo, through
+    expm1 and log1p: the subtraction would cancel the leading digits just
+    above the scale.  Where x / scale passes the largest double, w turns inf
+    and the cdf 1, within an ulp: the tail there is below 1.1e-16, as a law
+    is built only with alpha above 53 / 1024 (``Pareto._check``)."""
+    z = np.maximum(x, lo)
+    with np.errstate(over="ignore"):
+        w = (z - scale) / scale
+    return np.where(x < lo, 0.0, -np.expm1(-alpha * np.log1p(w)))
+
+
 def _out(kernel, x):
     """``kernel`` on the float array ``x``; a float for a 0-d x, which goes
     in as one element (numpy scalar ``**`` rounds apart from arrays)."""
@@ -379,11 +391,7 @@ class Pareto(Distribution, kind="pareto"):
         _refuse_overflow(power, self.scale * power)
 
     def _cdf(self, x):
-        # 1 - z**-alpha through expm1 and log1p: the subtraction would
-        # cancel the leading digits just above the scale
-        z = np.maximum(x, self.scale)
-        return np.where(x < self.scale, 0.0,
-                        -np.expm1(-self.alpha * np.log1p((z - self.scale) / self.scale)))
+        return _power_cdf(x, self.scale, self.scale, self.alpha)
 
     def _tail(self, x):
         z = np.maximum(x, self.scale) / self.scale
@@ -447,9 +455,7 @@ class TruncatedParetoOne(Distribution, kind="truncated_pareto_one"):
         _refuse_overflow(self.d1 / (1.0 - _TOP_UNIFORM))  # np.where runs both branches
 
     def _cdf(self, x):
-        # 1 - d1 / z as Pareto's, alpha = 1 and scale = d1 <= z
-        z = np.maximum(x, self.x0)
-        return np.where(x < self.x0, 0.0, -np.expm1(-np.log1p((z - self.d1) / self.d1)))
+        return _power_cdf(x, self.x0, self.d1, 1.0)
 
     def _tail(self, x):
         z = np.maximum(x, self.x0)

@@ -482,12 +482,12 @@ def test_poisson_route_thread_count_invariance(name):
               Mixture(((0.5, Exponential(3.0)), (0.5, Exponential(1.0))))),
 ], ids=["unif_exp", "det_exp", "exp_mixexp"])
 def test_light_tail_batch_matches_the_horizon_scan(m):
-    # the absorbing route against the plain horizon-1,000 scan, which stops
-    # a row at the largest service draw or at the horizon
+    # the absorbing route against the plain horizon-1,000 scan, which runs
+    # every row to the horizon: given a grid, no row stops early
     reps = 20_000
     batch = stationary_batch(m, 1000, reps, Stream.from_seed(41))
     assert batch.exact and _passing_bound(m, reps) <= 1000
-    scan = _backward(m, reps, Stream.from_seed(42), 1000)[0]
+    scan = _backward(m, reps, Stream.from_seed(42), 1000, grid=np.array([1000]))[0]
     assert stats.ks_2samp(batch.values, scan).pvalue > 0.01
 
 
