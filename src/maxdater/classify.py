@@ -159,17 +159,12 @@ def _series_verdict(grid, sums, thr: SeriesThresholds):
     v = np.asarray(sums, dtype=float)[mask]
     if v[-1] <= 0.0:
         return SeriesVerdict.CONVERGES, 0.0
-    pos = v > 0.0
-    if pos.sum() < 2:
-        incr = np.diff(v) / np.diff(g) if len(v) > 1 else np.array([0.0])
-        if incr.size and incr.min() >= thr.increment_floor:
-            return SeriesVerdict.DIVERGES, math.nan
-        return SeriesVerdict.INCONCLUSIVE, math.nan
-    slope = _fit_line(np.log(g[pos]), np.log(v[pos]))[0]
+    pos = v > 0.0  # a slope takes two positive sums; NaN fails its test
+    slope = _fit_line(np.log(g[pos]), np.log(v[pos]))[0] if pos.sum() >= 2 else math.nan
     if slope < thr.slope_converges:
         return SeriesVerdict.CONVERGES, slope
     incr = np.diff(v) / np.diff(g)
-    if incr.min() >= thr.increment_floor:
+    if incr.size and incr.min() >= thr.increment_floor:
         return SeriesVerdict.DIVERGES, slope
     return SeriesVerdict.INCONCLUSIVE, slope
 
@@ -594,6 +589,8 @@ def compare_queues(m: ModelSpec, cfg: ClassifierConfig = None,
     is degenerate (one-signed increments), which the commentary explains.
     """
     infinite = classify(m, cfg, stream)
+    lines = ["infinite-server verdict: {} ({})".format(
+        infinite.verdict.value, infinite.source.value)]
     try:
         single = erickson(m)
     except ValueError:
@@ -602,8 +599,6 @@ def compare_queues(m: ModelSpec, cfg: ClassifierConfig = None,
         s, t = m.service, m.interarrival
         s_lo, s_hi = s.support()
         t_lo, t_hi = t.support()
-        lines = ["infinite-server verdict: {} ({})".format(
-            infinite.verdict.value, infinite.source.value)]
         if s_lo >= t_hi and s_hi <= t_lo:
             lines.append(
                 "service and inter-arrival times coincide deterministically; "
@@ -626,12 +621,8 @@ def compare_queues(m: ModelSpec, cfg: ClassifierConfig = None,
                 "and is positive recurrent")
         return infinite, None, "\n".join(lines)
     sv = _SINGLE_SERVER_PHASE[single.walk_verdict]
-    lines = [
-        "infinite-server verdict: {} ({})".format(
-            infinite.verdict.value, infinite.source.value),
-        "single-server verdict: {} (walk {})".format(
-            sv.value, single.walk_verdict.value),
-    ]
+    lines.append("single-server verdict: {} (walk {})".format(
+        sv.value, single.walk_verdict.value))
     if math.isinf(single.j_plus):
         lines.append(
             "expected number of arrivals during one service time is "

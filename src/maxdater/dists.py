@@ -26,12 +26,11 @@ scalar, evaluated as a one-element array; ``quantile`` rejects p outside
 ``_`` kernels, which take float arrays of ndim >= 1 and check nothing.
 ``sample`` trusts ``Stream.uniform_open`` to stay inside (0, 1) and hands
 the law's ``_sample`` kernel a size, so a scalar draw is the first of a
-one-element draw.  A ``_sample`` kernel owns the uniform piece it draws and
-may invert it in place (``Exponential`` divides log1p(-u) by -rate, bitwise
-``_quantile``'s -log1p(-p) / rate since IEEE division is sign-symmetric;
-``Pareto`` raises 1 - u to its power and scales it, the same operations).
-``_quantile`` never writes to its input, which through ``quantile`` may be
-the caller's array.
+one-element draw.  A ``_quantile`` kernel may write over its input, so it
+is handed only arrays nobody else reads: ``quantile`` copies p, and
+``_sample`` inverts the uniform piece it draws, one kernel for both.
+(``Exponential`` divides log1p(-p) by -rate in place, bitwise
+-log1p(-p) / rate, since IEEE division is sign-symmetric.)
 
 ``largest_draw`` is the largest value ``sample`` can return, which can lie
 far below the essential supremum: ``uniform_open`` never goes above
@@ -216,7 +215,7 @@ class Distribution(ABC):
 
     def quantile(self, p):
         """inf{x : cdf(x) >= p} for p in (0, 1)."""
-        p = np.asarray(p, dtype=float)
+        p = np.array(p, dtype=float)  # a copy: the kernel may write over it
         if not np.all((p > 0.0) & (p < 1.0)):
             raise ValueError("quantile defined for 0 < p < 1")
         return _out(self._quantile, p)
@@ -312,13 +311,9 @@ class Exponential(Distribution, kind="exponential"):
         return np.where(x <= 0, 1.0, np.exp(-self.rate * np.maximum(x, 0.0)))
 
     def _quantile(self, p):
-        return -np.log1p(-p) / self.rate
-
-    def _sample(self, stream, size):
-        u = stream.uniform_open(size)  # _quantile in place, sign moved
-        np.negative(u, out=u)
-        np.log1p(u, out=u)
-        return np.divide(u, -self.rate, out=u)
+        np.negative(p, out=p)  # -log1p(-p) / rate, the sign moved
+        np.log1p(p, out=p)
+        return np.divide(p, -self.rate, out=p)
 
     def mean(self) -> float:
         return 1.0 / self.rate
@@ -398,14 +393,10 @@ class Pareto(Distribution, kind="pareto"):
         return np.where(x < self.scale, 1.0, z ** (-self.alpha))
 
     def _quantile(self, p):
-        return self.scale * (1.0 - p) ** (-1.0 / self.alpha)
-
-    def _sample(self, stream, size):
-        u = stream.uniform_open(size)  # _quantile in place
-        np.subtract(1.0, u, out=u)
-        u **= -1.0 / self.alpha  # the same scalar-power path as ** takes
-        u *= self.scale
-        return u
+        np.subtract(1.0, p, out=p)
+        p **= -1.0 / self.alpha  # the same scalar-power path as ** takes
+        p *= self.scale
+        return p
 
     def mean(self) -> float:
         if self.alpha <= 1.0:

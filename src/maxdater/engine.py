@@ -221,9 +221,6 @@ def simulate_path(m: ModelSpec, x0: float, n: int, stream: Stream) -> PathSample
         raise ValueError("n must be >= 0")
     if x0 < 0:
         raise ValueError("x0 must be >= 0")
-    if n == 0:
-        empty = np.empty(0)
-        return path_from_draws(x0, empty, empty)
     t, s = driving_draws(m, n, n, stream)
     return path_from_draws(x0, t, s)
 

@@ -160,10 +160,10 @@ def _backward(m: ModelSpec, rows: int, stream: Stream, horizon: float, *,
         horizon, median = _passing_steps(m, level, rows, "the absorbing scan",
                                          "the largest service draw")
     tail_sums = np.zeros(0 if grid is None else len(grid))
-    # the running rows' state, compacted when rows stop
+    # the running rows' state, compacted as rows stop; out_ holds them by row
     ids, best, offset = np.arange(rows), np.zeros(rows), np.zeros(rows)
     last_rec = np.zeros(rows, dtype=np.int64)
-    done, j0 = [], 0  # done: (ids, best, last_rec) of the stopped rows
+    out_best, out_rec, j0 = np.empty(rows), np.empty(rows, dtype=np.int64), 0
     while len(ids) and j0 < horizon:
         use = min(block or _block(rows, horizon), horizon - j0)
         cum = _epochs(m.interarrival.sample(stream, (len(ids), block or use)), offset)
@@ -188,18 +188,15 @@ def _backward(m: ModelSpec, rows: int, stream: Stream, horizon: float, *,
         j0 += use
         stop = offset >= level
         if stop.any():
-            done.append((ids[stop], best[stop], last_rec[stop]))
+            out_best[ids[stop]], out_rec[ids[stop]] = best[stop], last_rec[stop]
             ids, best, offset, last_rec = (a[~stop] for a in (ids, best, offset, last_rec))
     if absorb and len(ids):
         raise RuntimeError(
             f"{len(ids)} of {rows} reversed clocks stayed below the largest "
             f"service draw {s_top} for {horizon} steps: the inter-arrival law draws "
             f"below its median {median} more often than half the time")
-    if done:  # back to row order
-        done.append((ids, best, last_rec))
-        order = np.argsort(np.concatenate([d[0] for d in done]))
-        best, last_rec = (np.concatenate([d[i] for d in done])[order] for i in (1, 2))
-    return np.maximum(best, 0.0), last_rec, tail_sums
+    out_best[ids], out_rec[ids] = best, last_rec
+    return np.maximum(out_best, 0.0, out=out_best), out_rec, tail_sums
 
 
 def _exact_route(m: ModelSpec, rows: int, horizon: int) -> bool:

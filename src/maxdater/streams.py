@@ -4,8 +4,8 @@ Every stochastic operation in this package draws from a ``Stream``: a
 counter-based Philox generator keyed by an experiment seed plus a spawn
 path.  Child streams are derived from the (seed, path) pair alone, never
 from generator state, so replication k of an experiment sees the same
-draws no matter how work is batched or which thread runs it.  With
-``threads`` > 1, ``run_chunked`` runs lane 0 of its fixed chunk plan on the
+draws no matter how work is batched or which thread runs it.  At any
+``threads`` >= 1, ``run_chunked`` runs lane 0 of its fixed chunk plan on the
 calling thread and lanes 1 to threads - 1 on plain threads, lane j taking
 chunks j, j + threads, ...: chunk i draws from ``stream.child(i)`` and
 fills result slot i, whichever lane runs it.
@@ -133,13 +133,13 @@ def run_chunked(
     """Run ``worker(chunk_stream, start, count)`` over a fixed chunk plan.
 
     Chunk i always gets ``stream.child(i)``; results come back in chunk
-    order.  ``threads`` only controls how many chunks run concurrently;
-    at any count the lowest failing chunk's exception is raised.
+    order.  ``threads`` >= 1 only sets how many chunks run at once, on one
+    path at any count; the lowest failing chunk's exception is raised.
     """
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     plan = chunk_plan(total)
     streams = [stream.child(i) for i in range(len(plan))]
-    if threads <= 1 or len(plan) <= 1:
-        return [worker(st, start, count) for st, (start, count) in zip(streams, plan)]
     out, errors = [None] * len(plan), {}
 
     def lane(first: int) -> None:
