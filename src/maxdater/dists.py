@@ -389,8 +389,13 @@ class Pareto(Distribution, kind="pareto"):
         return _power_cdf(x, self.scale, self.scale, self.alpha)
 
     def _tail(self, x):
-        z = np.maximum(x, self.scale) / self.scale
-        return np.where(x < self.scale, 1.0, z ** (-self.alpha))
+        with np.errstate(over="ignore"):
+            z = np.maximum(x, self.scale) / self.scale
+        out = np.where(x < self.scale, 1.0, z ** (-self.alpha))
+        big = np.isinf(z)  # x / scale past the largest double: in logs there
+        if big.any():
+            out[big] = np.exp(-self.alpha * (np.log(x[big]) - np.log(self.scale)))
+        return out
 
     def _quantile(self, p):
         np.subtract(1.0, p, out=p)
@@ -406,7 +411,7 @@ class Pareto(Distribution, kind="pareto"):
     def _truncated_mean(self, x):
         z = np.maximum(x, self.scale)
         if self.alpha == 1.0:
-            above = self.scale * (1.0 + np.log(z / self.scale))
+            above = self.scale * (1.0 + (np.log(z) - np.log(self.scale)))
         else:  # in logs: scale**alpha and z / scale overflow at extreme scales
             a1 = 1.0 - self.alpha
             above = self.scale + self.scale * np.expm1(
@@ -461,7 +466,7 @@ class TruncatedParetoOne(Distribution, kind="truncated_pareto_one"):
 
     def _truncated_mean(self, x):
         z = np.maximum(x, self.x0)
-        above = self.x0 + self.d1 * np.log(z / self.x0)
+        above = self.x0 + self.d1 * (np.log(z) - np.log(self.x0))  # z / x0 can overflow
         return np.where(x <= self.x0, np.minimum(x, self.x0), above)
 
     def support(self):

@@ -150,23 +150,36 @@ def generalized_inverse_oracle(d, p):
 # a stated number of ulps.
 
 
-def decimal_cdf(d, x):
-    """P(Y <= x) for a Pareto or TruncatedParetoOne law and x at or above
+def decimal_tail(d, x):
+    """P(Y > x) for a Pareto or TruncatedParetoOne law and x at or above
     its infimum, as a 40-digit Decimal."""
     with decimal.localcontext() as ctx:
         ctx.prec = 40
         x = Decimal(x)
         if isinstance(d, Pareto):
-            return 1 - (x / Decimal(d.scale)) ** -Decimal(d.alpha)
-        return 1 - Decimal(d.d1) / x
+            return (x / Decimal(d.scale)) ** -Decimal(d.alpha)
+        return Decimal(d.d1) / x
 
 
-def decimal_pareto_truncated_mean(d, x):
-    """E[min(Y, x)] for a Pareto law of index other than 1 and x at or
-    above its scale, as a 40-digit Decimal."""
+def decimal_cdf(d, x):
+    """P(Y <= x) for a Pareto or TruncatedParetoOne law and x at or above
+    its infimum, as a 40-digit Decimal."""
     with decimal.localcontext() as ctx:
         ctx.prec = 40
+        return 1 - decimal_tail(d, x)
+
+
+def decimal_truncated_mean(d, x):
+    """E[min(Y, x)] for a Pareto or TruncatedParetoOne law and x at or
+    above its infimum, as a 40-digit Decimal: the infimum plus the integral
+    of the tail above it."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        if isinstance(d, TruncatedParetoOne):
+            return Decimal(d.x0) + Decimal(d.d1) * (Decimal(x) / Decimal(d.x0)).ln()
         s, a1 = Decimal(d.scale), 1 - Decimal(d.alpha)
+        if a1 == 0:
+            return s + s * (Decimal(x) / s).ln()
         return s + s * ((Decimal(x) / s) ** a1 - 1) / a1
 
 

@@ -28,8 +28,9 @@ from maxdater.dists import (
 from support import (
     _density_pieces,
     decimal_cdf,
-    decimal_pareto_truncated_mean,
     decimal_quantile,
+    decimal_tail,
+    decimal_truncated_mean,
     excess_mean_oracle,
     generalized_inverse_oracle,
     integrate_against,
@@ -358,8 +359,41 @@ def test_pareto_truncated_mean_at_extreme_scales(alpha, log_scale, log_ratio):
     x = (d.scale * (1.0 + 10.0 ** log_ratio) if log_ratio < 300.0
          else 10.0 ** min(log_scale + log_ratio, 308.0))
     assume((1.0 - alpha) * (math.log(x) - math.log(d.scale)) < 709.0)
-    want = decimal_pareto_truncated_mean(d, x)
+    want = decimal_truncated_mean(d, x)
     assert abs(Decimal(d.truncated_mean(x)) - want) <= Decimal("1e-12") * want
+
+
+@pytest.mark.parametrize("d", [Pareto(1.0, 1e-200), TruncatedParetoOne(1e-200, 1e-200)],
+                         ids=["pareto", "tpo"])
+def test_index_one_truncated_mean_past_the_largest_ratio(d):
+    # at index 1 the mean above the infimum is a log of x / infimum, which
+    # passes the largest double here; as a difference of logs it stays
+    # within 1e-15 of the 40-digit value, with no RuntimeWarning
+    x = 1e110
+    assert math.log(x) - math.log(d.support()[0]) > math.log(sys.float_info.max)
+    want = decimal_truncated_mean(d, x)
+    assert abs(Decimal(d.truncated_mean(x)) - want) <= Decimal("1e-15") * want
+
+
+@pytest.mark.parametrize("d, x", [
+    (Pareto(0.06, 1e-20), 1e300),
+    (Pareto(0.0519, 1e-8), 1e301),  # the tail there is 9e-17, near an ulp of 1
+    (Pareto(3.0, 1e-200), 1e110),  # the tail there, 1e-930, is below every double
+], ids=["pareto006", "pareto_least_alpha", "pareto3"])
+def test_pareto_tail_past_the_largest_ratio(d, x):
+    # x / scale passes the largest double, where the tail is taken in logs:
+    # within 1e-14 of the 40-digit value, or 0 where that underflows, with
+    # no RuntimeWarning; entries below the largest ratio keep their own
+    # form, and the tail at inf is exactly 0
+    assert math.log(x) - math.log(d.scale) > math.log(sys.float_info.max)
+    want, got = decimal_tail(d, x), d.tail(x)
+    if want < Decimal(2) ** -1075:  # half the least double
+        assert got == 0.0
+    else:
+        assert abs(Decimal(got) - want) <= Decimal("1e-14") * want
+    near = 2.0 * d.scale
+    assert d.tail(np.array([x, near])).tolist() == [got, d.tail(near)]
+    assert d.tail(math.inf) == 0.0
 
 
 _INVERTING_LAWS = _POWER_LAWS | st.builds(
@@ -708,9 +742,9 @@ def test_non_mixture_draws_invert_one_piece(d):
 
 @pytest.mark.parametrize("rate", [1.0, 0.25, 3.0, 0.7, 1e-3])
 def test_exponential_draws_are_its_quantiles(rate):
-    # the sampler divides by -rate where quantile negates and divides by
-    # rate; IEEE division is sign-symmetric, so the bits agree, also for
-    # rates that are not powers of two
+    # sample and quantile run one kernel, which divides log1p(-p) by -rate
+    # in place: draws are the quantiles of the same uniforms, bit for bit,
+    # also for rates that are not powers of two
     d = Exponential(rate)
     a, b = Stream.from_seed(5, 3), Stream.from_seed(5, 3)
     for size in (None, (64, 300), 1000, (3, 1, 7)):
@@ -724,9 +758,9 @@ def test_exponential_draws_are_its_quantiles(rate):
        scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**31))
 @settings(max_examples=100, deadline=None)
 def test_pareto_draws_are_its_quantiles(alpha, scale, seed):
-    # the sampler raises 1 - u to its power in place; **= takes the same
-    # scalar-power path as **, so the bits agree.  Indices down to 0.054
-    # are built at every scale up to 1e3.
+    # sample and the quantile kernel are one kernel, which raises 1 - u to
+    # its power in place: draws are the kernel at the same uniforms, bit
+    # for bit.  Indices down to 0.054 are built at every scale up to 1e3.
     d = Pareto(alpha, scale)
     for size in (None, (3, 200)):
         got = d.sample(Stream.from_seed(seed, 4), size)
@@ -736,8 +770,8 @@ def test_pareto_draws_are_its_quantiles(alpha, scale, seed):
 
 @pytest.mark.parametrize("d", CATALOGUE, ids=lambda d: type(d).__name__ + repr(d)[:30])
 def test_quantile_leaves_its_input_alone(d):
-    # sampling kernels may invert their own uniforms in place; quantile
-    # holds the caller's array and must not
+    # the quantile kernels may write over their input; quantile hands them
+    # a copy, so the caller's array keeps its values
     p = Stream.from_seed(5, 2).uniform_open((3, 50))
     kept = p.copy()
     d.quantile(p)

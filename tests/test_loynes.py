@@ -292,6 +292,24 @@ def test_backward_kernel_ties_take_the_first_record():
     assert tied > 0
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_backward_kernel_stopped_rows_keep_their_order(seed):
+    # one piece of 8 columns: rows whose clocks pass the largest service
+    # draw 8 stop, the rest run to the horizon, and each row's best and last
+    # record are bitwise those of the same draws with a grid, where no row
+    # stops (one piece draws the same uniforms either way)
+    m, rows, b = ModelSpec(Uniform(0.5, 1.5), Uniform(0.0, 8.0)), 200, 8
+    clock = np.cumsum(m.interarrival.sample(Stream.from_seed(seed), (rows, b)), axis=1)[:, -1]
+    stops = clock >= m.service.largest_draw()
+    assert 0 < stops.sum() < rows
+    best, last_rec, _ = _backward(m, rows, Stream.from_seed(seed), b, block=b)
+    want_best, want_rec, _ = _backward(m, rows, Stream.from_seed(seed), b, block=b,
+                                       grid=np.array([b]))
+    assert len(np.unique(last_rec[stops])) > 1 and len(np.unique(last_rec[~stops])) > 1
+    assert np.array_equal(best.view(np.int64), want_best.view(np.int64))
+    assert np.array_equal(last_rec, want_rec)
+
+
 def test_backward_kernel_peak_memory():
     # timing-free: one (512, 1000) piece holds its two draw pieces and the
     # epochs; terms and records are built without more piece-sized arrays

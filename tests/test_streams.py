@@ -180,6 +180,16 @@ def test_run_chunked_lanes_keep_chunk_order_and_the_lowest_failure(switching_oft
             assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_run_chunked_refuses_fewer_than_one_thread(threads):
+    # before any chunk runs, so no result slot is left unfilled in silence
+    calls = []
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        run_chunked(lambda st, start, count: calls.append(start), 10,
+                    Stream.from_seed(3), threads=threads)
+    assert calls == []
+
+
 def test_run_chunked_runs_lane_0_on_the_caller(switching_often):
     # --threads N starts N - 1 helper threads: the caller runs chunks 0,
     # N, 2N, ... itself, every other chunk runs on a helper, the lowest
