@@ -758,9 +758,10 @@ def test_exponential_draws_are_its_quantiles(rate):
        scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**31))
 @settings(max_examples=100, deadline=None)
 def test_pareto_draws_are_its_quantiles(alpha, scale, seed):
-    # sample and the quantile kernel are one kernel, which raises 1 - u to
-    # its power in place: draws are the kernel at the same uniforms, bit
-    # for bit.  Indices down to 0.054 are built at every scale up to 1e3.
+    # sample inverts its uniforms with the quantile kernel, which raises
+    # 1 - u to its power in place: draws are that kernel at the same
+    # uniforms, bit for bit.  Indices down to 0.054 are built at every
+    # scale up to 1e3.
     d = Pareto(alpha, scale)
     for size in (None, (3, 200)):
         got = d.sample(Stream.from_seed(seed, 4), size)
